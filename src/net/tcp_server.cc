@@ -81,6 +81,10 @@ struct TcpServer::Impl
 
     int listen_fd = -1;
     int epoll_fd = -1;
+    /** shutdown() writes it from any thread while the loop thread's
+     *  teardown() closes it: both hold wake_mu, so a late shutdown
+     *  never writes to a closed (or reused) descriptor. */
+    std::mutex wake_mu;
     int wake_fd = -1;
     std::uint16_t port = 0;
 
@@ -194,11 +198,15 @@ TcpServer::Impl::teardown()
     conns.clear();
     if (listen_fd >= 0)
         ::close(listen_fd);
-    if (wake_fd >= 0)
-        ::close(wake_fd);
     if (epoll_fd >= 0)
         ::close(epoll_fd);
-    listen_fd = wake_fd = epoll_fd = -1;
+    listen_fd = epoll_fd = -1;
+    {
+        std::lock_guard<std::mutex> lock(wake_mu);
+        if (wake_fd >= 0)
+            ::close(wake_fd);
+        wake_fd = -1;
+    }
     std::lock_guard<std::mutex> lock(stats_mu);
     stats.active = 0;
 }
@@ -482,6 +490,7 @@ TcpServer::shutdown(bool drain)
         impl_->stop_drain.store(true, std::memory_order_relaxed);
     else
         impl_->stop_now.store(true, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(impl_->wake_mu);
     if (impl_->wake_fd >= 0) {
         const std::uint64_t one = 1;
         (void)!::write(impl_->wake_fd, &one, sizeof(one));

@@ -33,7 +33,10 @@
  * Linux-only by design (epoll); start() fails with a clear error
  * elsewhere. The per-request latency breakdown (net_handle = handler
  * wall time, net_flush = write-buffer residency) feeds the per-layer
- * queue/net/sim picture in stats responses.
+ * queue/net/sim picture in stats responses. stats() copies every
+ * sample kept so far, so a handler should call it only when it answers
+ * a stats request (gmoms_serve does); calling it per request would make
+ * net_handle grow with the number of requests already served.
  */
 
 #ifndef GMOMS_NET_TCP_SERVER_HH

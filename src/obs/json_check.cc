@@ -99,8 +99,21 @@ class Parser
             return false;
         }
         switch (text_[pos_]) {
-          case '{': return parseObject(out);
-          case '[': return parseArray(out);
+          case '{':
+          case '[': {
+            // Containers recurse; a hostile line of a million '[' must
+            // fail as a decode error, not overflow the stack.
+            if (depth_ == kMaxJsonDepth) {
+                fail("nesting deeper than " +
+                     std::to_string(kMaxJsonDepth));
+                return false;
+            }
+            ++depth_;
+            const bool ok = text_[pos_] == '{' ? parseObject(out)
+                                               : parseArray(out);
+            --depth_;
+            return ok;
+          }
           case '"':
             out.kind = JsonValue::Kind::String;
             return parseString(out.string);
@@ -314,6 +327,7 @@ class Parser
     std::string_view text_;
     std::string* error_;
     std::size_t pos_ = 0;
+    int depth_ = 0;  //!< containers open around the current value
 };
 
 } // namespace

@@ -8,6 +8,10 @@
  * back to the expected values, without adding a dependency. It accepts
  * strict RFC 8259 JSON (objects, arrays, strings with escapes including
  * \uXXXX, numbers, true/false/null) and rejects trailing garbage.
+ *
+ * The serving front ends decode untrusted wire lines with it too, so
+ * container nesting is capped at kMaxJsonDepth: deeper input fails
+ * like any other syntax error instead of exhausting the stack.
  */
 
 #ifndef GMOMS_OBS_JSON_CHECK_HH
@@ -22,6 +26,9 @@
 
 namespace gmoms
 {
+
+/** Deepest container nesting parseJson accepts. */
+inline constexpr int kMaxJsonDepth = 64;
 
 struct JsonValue
 {
@@ -62,8 +69,9 @@ struct JsonValue
 
 /**
  * Parse @p text as a single JSON value. Returns nullopt on any syntax
- * error (including trailing non-whitespace); when @p error is non-null
- * it receives a short description with the byte offset.
+ * error (including trailing non-whitespace and nesting deeper than
+ * kMaxJsonDepth); when @p error is non-null it receives a short
+ * description with the byte offset.
  */
 std::optional<JsonValue> parseJson(std::string_view text,
                                    std::string* error = nullptr);

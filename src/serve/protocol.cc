@@ -1,7 +1,6 @@
 #include "src/serve/protocol.hh"
 
 #include <optional>
-#include <sstream>
 
 #include "src/obs/json_check.hh"
 
@@ -15,15 +14,14 @@ namespace
 std::string
 jsonStringArray(const std::vector<std::string>& items)
 {
-    std::ostringstream os;
-    os << "[";
+    std::string out = "[";
     for (std::size_t i = 0; i < items.size(); ++i) {
         if (i)
-            os << ",";
-        JsonReport::writeEscaped(os, items[i]);
+            out += ',';
+        JsonReport::appendEscaped(out, items[i]);
     }
-    os << "]";
-    return os.str();
+    out += ']';
+    return out;
 }
 
 std::string
@@ -351,7 +349,7 @@ jobRecordJson(const JobRecord& rec)
 
 Response
 execute(GraphService& service, const Request& req,
-        const JsonReport* net_stats)
+        const std::function<JsonReport()>& net_stats)
 {
     Response resp;
     resp.v = req.v;
@@ -392,7 +390,7 @@ execute(GraphService& service, const Request& req,
         resp.result.set(
             "stats", JsonReport::Raw{service.stats().toJson().str()});
         if (net_stats)
-            resp.result.set("net", JsonReport::Raw{net_stats->str()});
+            resp.result.set("net", JsonReport::Raw{net_stats().str()});
         break;
       }
       case Verb::Drain: {
@@ -415,7 +413,8 @@ execute(GraphService& service, const Request& req,
 
 std::string
 handleRequestLine(GraphService& service, const std::string& line,
-                  bool& quit_requested, const JsonReport* net_stats)
+                  bool& quit_requested,
+                  const std::function<JsonReport()>& net_stats)
 {
     const DecodedRequest decoded = decodeRequestLine(line);
     if (!decoded.ok()) {

@@ -37,6 +37,7 @@
 #ifndef GMOMS_SERVE_PROTOCOL_HH
 #define GMOMS_SERVE_PROTOCOL_HH
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -124,13 +125,15 @@ JsonReport jobRecordJson(const JobRecord& rec);
 
 /**
  * Execute @p req against @p service — the single verb dispatcher
- * behind every front end. @p net_stats, when non-null, is appended to
- * stats responses under "net" (the TCP server's connection counters).
+ * behind every front end. @p net_stats, when set, is called once per
+ * *stats* request and its block appended under "net" (the TCP server's
+ * connection counters); every other verb leaves it uncalled, so a
+ * non-stats request never pays for a snapshot of server history.
  * Quit returns Ok; the *caller* owns shutdown (stdin loop breaks, TCP
  * server drains).
  */
 Response execute(GraphService& service, const Request& req,
-                 const JsonReport* net_stats = nullptr);
+                 const std::function<JsonReport()>& net_stats = {});
 
 /**
  * Full line -> line turn: decode, execute (or report decode problems),
@@ -138,10 +141,9 @@ Response execute(GraphService& service, const Request& req,
  * This is the whole server-side protocol in one call; the stdin loop
  * and the TCP handler are both one-liners over it.
  */
-std::string handleRequestLine(GraphService& service,
-                              const std::string& line,
-                              bool& quit_requested,
-                              const JsonReport* net_stats = nullptr);
+std::string handleRequestLine(
+    GraphService& service, const std::string& line, bool& quit_requested,
+    const std::function<JsonReport()>& net_stats = {});
 
 } // namespace gmoms::serve
 

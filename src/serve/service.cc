@@ -176,17 +176,14 @@ GraphService::submit(JobSpec spec)
             ResultCache::keyFor(spec, configFingerprint(valid.config));
         if (const std::optional<ResultCache::Entry> hit =
                 result_cache_->get(result_key)) {
+            const WallTimer admitted;
             const JobId id = next_id_++;
-            Job& job = jobs_[id];
-            job.spec = std::move(spec);
-            job.config = std::move(valid.config);
-            job.result_key = std::move(result_key);
-            JobRecord& rec = job.rec;
+            JobRecord& rec = records_[id];
             rec.id = id;
-            rec.tenant = job.spec.tenant;
-            rec.dataset = job.spec.dataset;
-            rec.algo = job.spec.algo;
-            rec.priority = job.spec.priority;
+            rec.tenant = std::move(spec.tenant);
+            rec.dataset = std::move(spec.dataset);
+            rec.algo = std::move(spec.algo);
+            rec.priority = spec.priority;
             rec.state = JobState::Completed;
             rec.from_cache = true;
             rec.replay = hit->replay;
@@ -204,7 +201,7 @@ GraphService::submit(JobSpec spec)
             stats_.queue_wait.add(0.0);
             stats_.prep.add(0.0);
             stats_.sim.add(0.0);
-            stats_.total.add(job.admitted.elapsedSeconds());
+            stats_.total.add(admitted.elapsedSeconds());
             out.id = id;
             out.from_cache = true;
             return out;
@@ -220,15 +217,16 @@ GraphService::submit(JobSpec spec)
     }
 
     const JobId id = next_id_++;
-    Job& job = jobs_[id];
+    JobRecord& rec = records_[id];
+    rec.id = id;
+    rec.tenant = spec.tenant;
+    rec.dataset = spec.dataset;
+    rec.algo = spec.algo;
+    rec.priority = spec.priority;
+    PendingJob& job = pending_[id];
     job.spec = std::move(spec);
     job.config = std::move(valid.config);
     job.result_key = std::move(result_key);
-    job.rec.id = id;
-    job.rec.tenant = job.spec.tenant;
-    job.rec.dataset = job.spec.dataset;
-    job.rec.algo = job.spec.algo;
-    job.rec.priority = job.spec.priority;
     job.admitted.restart();
     if (!paused_)
         spawnDrainersLocked();
@@ -240,10 +238,10 @@ std::optional<JobRecord>
 GraphService::poll(JobId id) const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end())
+    const auto it = records_.find(id);
+    if (it == records_.end())
         return std::nullopt;
-    return it->second.rec;
+    return it->second;
 }
 
 void
@@ -313,8 +311,9 @@ GraphService::publishReadyLocked()
         finished_.erase(it);
         ++next_publish_;
         completion_log_.push_back(id);
+        pending_.erase(id);
 
-        const JobRecord& rec = jobs_.at(id).rec;
+        const JobRecord& rec = records_.at(id);
         switch (rec.state) {
           case JobState::Completed:
             ++stats_.completed;
@@ -398,14 +397,15 @@ GraphService::drainerLoop()
         if (!popped)
             break;
         const JobId id = *popped;
-        Job& job = jobs_.at(id);
+        PendingJob& job = pending_.at(id);
         job.dispatch_idx = dispatch_count_++;
-        job.rec.state = JobState::Running;
-        job.rec.queue_seconds = job.admitted.elapsedSeconds();
+        JobRecord& live = records_.at(id);
+        live.state = JobState::Running;
+        live.queue_seconds = job.admitted.elapsedSeconds();
 
         // Everything the run needs, copied out so the simulation never
         // holds the service lock.
-        JobRecord rec = job.rec;
+        JobRecord rec = live;
         const JobSpec spec = job.spec;
         const AccelConfig requested = job.config;
         lock.unlock();
@@ -470,9 +470,9 @@ GraphService::drainerLoop()
         }
 
         lock.lock();
-        Job& finished_job = jobs_.at(id);
+        const PendingJob& finished_job = pending_.at(id);
         rec.total_seconds = finished_job.admitted.elapsedSeconds();
-        finished_job.rec = rec;
+        records_.at(id) = rec;
         // Only a *Completed* run is cacheable: it ran the keyed config
         // (a Degraded run executed the fallback preset instead).
         if (result_cache_ && rec.state == JobState::Completed &&

@@ -235,12 +235,13 @@ class GraphService
     unsigned workers() const { return pool_.workers(); }
 
   private:
-    struct Job
+    /** What a queued or running job needs beyond its record; erased
+     *  when the job publishes (result-cache hits never get one). */
+    struct PendingJob
     {
         JobSpec spec;
         AccelConfig config;  //!< resolved by validateJobSpec
         std::string result_key;  //!< ResultCache::keyFor, "" = uncachable
-        JobRecord rec;
         WallTimer admitted;          //!< starts at admission
         std::uint64_t dispatch_idx = 0;
     };
@@ -270,7 +271,8 @@ class GraphService
     mutable std::mutex mu_;
     std::condition_variable idle_cv_;
     AdmissionQueue queue_;
-    std::map<JobId, Job> jobs_;
+    std::map<JobId, JobRecord> records_;  //!< every admitted job
+    std::map<JobId, PendingJob> pending_;  //!< queued or running only
     JobId next_id_ = 1;
     bool paused_ = false;
     bool closing_ = false;

@@ -1,77 +1,108 @@
 #include "src/sim/report.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 
 namespace gmoms
 {
 
 void
-JsonReport::writeEscaped(std::ostream& os, const std::string& s)
+JsonReport::appendEscaped(std::string& out, const std::string& s)
 {
-    os << '"';
-    for (char c : s) {
+    out += '"';
+    // Copy runs of plain bytes in one append; escape the rest.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const unsigned char c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s, run, i - run);
+        run = i + 1;
         switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
-          case '\b': os << "\\b"; break;
-          case '\f': os << "\\f"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                // Remaining control characters are invalid raw in JSON
-                // strings; emit the generic escape.
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                os << buf;
-            } else {
-                os << c;
-            }
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          case '\b': out += "\\b"; break;
+          case '\f': out += "\\f"; break;
+          default: {
+            // Remaining control characters are invalid raw in JSON
+            // strings; emit the generic escape.
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x",
+                          static_cast<unsigned>(c));
+            out += buf;
+          }
         }
     }
-    os << '"';
+    out.append(s, run, std::string::npos);
+    out += '"';
+}
+
+void
+JsonReport::writeEscaped(std::ostream& os, const std::string& s)
+{
+    std::string out;
+    appendEscaped(out, s);
+    os << out;
 }
 
 void
 JsonReport::write(std::ostream& os) const
 {
-    os << '{';
-    bool first = true;
-    for (const auto& [key, value] : entries_) {
-        if (!first)
-            os << ',';
-        first = false;
-        writeEscaped(os, key);
-        os << ':';
-        if (const auto* s = std::get_if<std::string>(&value)) {
-            writeEscaped(os, *s);
-        } else if (const auto* d = std::get_if<double>(&value)) {
-            if (std::isfinite(*d))
-                os << *d;
-            else
-                os << "null";
-        } else if (const auto* u = std::get_if<std::uint64_t>(&value)) {
-            os << *u;
-        } else if (const auto* r = std::get_if<Raw>(&value)) {
-            os << r->json;
-        } else {
-            os << (std::get<bool>(value) ? "true" : "false");
-        }
-    }
-    os << '}';
+    os << str();
 }
 
 std::string
 JsonReport::str() const
 {
-    std::ostringstream ss;
-    write(ss);
-    return ss.str();
+    // Size the buffer once: escapes may still grow it, but the common
+    // report never reallocates.
+    std::size_t estimate = 2;
+    for (const auto& [key, value] : entries_) {
+        estimate += key.size() + 4;
+        if (const auto* s = std::get_if<std::string>(&value))
+            estimate += s->size() + 2;
+        else if (const auto* r = std::get_if<Raw>(&value))
+            estimate += r->json.size();
+        else
+            estimate += 24;
+    }
+    std::string out;
+    out.reserve(estimate);
+
+    out += '{';
+    bool first = true;
+    for (const auto& [key, value] : entries_) {
+        if (!first)
+            out += ',';
+        first = false;
+        appendEscaped(out, key);
+        out += ':';
+        if (const auto* s = std::get_if<std::string>(&value)) {
+            appendEscaped(out, *s);
+        } else if (const auto* d = std::get_if<double>(&value)) {
+            if (std::isfinite(*d)) {
+                char buf[32];
+                const int n = std::snprintf(buf, sizeof(buf), "%g", *d);
+                out.append(buf, static_cast<std::size_t>(n));
+            } else {
+                out += "null";
+            }
+        } else if (const auto* u = std::get_if<std::uint64_t>(&value)) {
+            char buf[24];
+            const auto res = std::to_chars(buf, buf + sizeof(buf), *u);
+            out.append(buf, res.ptr);
+        } else if (const auto* r = std::get_if<Raw>(&value)) {
+            out += r->json;
+        } else {
+            out += std::get<bool>(value) ? "true" : "false";
+        }
+    }
+    out += '}';
+    return out;
 }
 
 JsonReport

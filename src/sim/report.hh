@@ -63,7 +63,9 @@ class JsonReport
         return *this;
     }
 
-    /** Serialize as a single JSON object (keys in insertion order). */
+    /** Serialize as a single JSON object (keys in insertion order):
+     *  `os << str()`, so the stream's own formatting flags never leak
+     *  into the output. */
     void write(std::ostream& os) const;
 
     /** The key/value entries in insertion order (the protocol encoder
@@ -73,10 +75,16 @@ class JsonReport
         return entries_;
     }
 
+    /** The one serializer: appends into a single reserved string.
+     *  Doubles print as `%g` (what a default-formatted ostream prints),
+     *  non-finite doubles as null. */
     std::string str() const;
 
-    /** Write @p s as a JSON string literal (quotes, backslashes and
-     *  all control characters escaped). */
+    /** Append @p s to @p out as a JSON string literal (quotes,
+     *  backslashes and all control characters escaped). */
+    static void appendEscaped(std::string& out, const std::string& s);
+
+    /** appendEscaped() for stream writers. */
     static void writeEscaped(std::ostream& os, const std::string& s);
 
   private:

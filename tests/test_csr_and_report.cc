@@ -1,12 +1,16 @@
 /**
  * @file
- * Tests for the CSR substrate and the JSON report writer.
+ * Tests for the CSR substrate, the JSON report writer and the JSON
+ * parser's limits.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <sstream>
+#include <string>
 
 #include "src/graph/csr.hh"
 #include "src/graph/generator.hh"
@@ -73,6 +77,121 @@ TEST(Csr, EmptyRowsHandled)
     ASSERT_EQ(csr.neighbors(3).size(), 1u);
     EXPECT_EQ(csr.neighbors(3)[0], 7u);
     EXPECT_TRUE(csr.neighbors(9).empty());
+}
+
+/** Reference rendering with a default-formatted ostringstream and
+ *  per-character escapes: the formatting JsonReport::str() must match
+ *  byte for byte. */
+void
+referenceEscaped(std::ostringstream& os, const std::string& s)
+{
+    os << '"';
+    for (char c : s) {
+        switch (c) {
+          case '"': os << "\\\""; break;
+          case '\\': os << "\\\\"; break;
+          case '\n': os << "\\n"; break;
+          case '\t': os << "\\t"; break;
+          case '\r': os << "\\r"; break;
+          case '\b': os << "\\b"; break;
+          case '\f': os << "\\f"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned>(
+                                  static_cast<unsigned char>(c)));
+                os << buf;
+            } else {
+                os << c;
+            }
+        }
+    }
+    os << '"';
+}
+
+std::string
+referenceRendering(const JsonReport& r)
+{
+    std::ostringstream os;
+    os << '{';
+    bool first = true;
+    for (const auto& [key, value] : r.entries()) {
+        if (!first)
+            os << ',';
+        first = false;
+        referenceEscaped(os, key);
+        os << ':';
+        if (const auto* s = std::get_if<std::string>(&value)) {
+            referenceEscaped(os, *s);
+        } else if (const auto* d = std::get_if<double>(&value)) {
+            if (std::isfinite(*d))
+                os << *d;
+            else
+                os << "null";
+        } else if (const auto* u = std::get_if<std::uint64_t>(&value)) {
+            os << *u;
+        } else if (const auto* raw = std::get_if<JsonReport::Raw>(&value)) {
+            os << raw->json;
+        } else {
+            os << (std::get<bool>(value) ? "true" : "false");
+        }
+    }
+    os << '}';
+    return os.str();
+}
+
+TEST(JsonReport, StrIsByteIdenticalToStreamRendering)
+{
+    std::string every_escape = "q\" b\\ /";
+    for (int c = 0; c < 0x20; ++c)
+        every_escape.push_back(static_cast<char>(c));
+    const std::string utf8 = "caf\xc3\xa9 \xe2\x86\x92 \xf0\x9f\x93\x88";
+
+    JsonReport inner;
+    inner.set("x", 0.5).set(every_escape, utf8);
+    JsonReport r;
+    r.set("zero", 0.0)
+        .set("neg_zero", -0.0)
+        .set("tiny", 1e-7)
+        .set("tenth", 0.1)
+        .set("big", 123456789.0)
+        .set("huge_neg", -2.5e300)
+        .set("third", 1.0 / 3.0)
+        .set("nan", std::nan(""))
+        .set("inf", std::numeric_limits<double>::infinity())
+        .set("ninf", -std::numeric_limits<double>::infinity())
+        .set("u0", std::uint64_t{0})
+        .set("umax", std::numeric_limits<std::uint64_t>::max())
+        .set("yes", true)
+        .set("no", false)
+        .set("empty", std::string())
+        .set(every_escape, every_escape)
+        .set(utf8, utf8)
+        .set("nested", JsonReport::Raw{inner.str()});
+
+    const std::string expected = referenceRendering(r);
+    EXPECT_EQ(r.str(), expected);
+
+    // write() is the same serializer, whatever the stream's state.
+    std::ostringstream os;
+    os.precision(17);
+    os << std::fixed;
+    r.write(os);
+    EXPECT_EQ(os.str(), expected);
+
+    // Both escape entry points agree with the reference.
+    std::ostringstream ref;
+    referenceEscaped(ref, every_escape + utf8);
+    std::string appended;
+    JsonReport::appendEscaped(appended, every_escape + utf8);
+    EXPECT_EQ(appended, ref.str());
+    std::ostringstream streamed;
+    JsonReport::writeEscaped(streamed, every_escape + utf8);
+    EXPECT_EQ(streamed.str(), ref.str());
+
+    std::string error;
+    ASSERT_TRUE(parseJson(r.str(), &error).has_value()) << error;
 }
 
 TEST(JsonReport, SerializesAllValueKinds)
@@ -162,6 +281,33 @@ TEST(JsonParser, RejectsMalformedDocuments)
     EXPECT_FALSE(parseJson("{} trailing").has_value());
     EXPECT_FALSE(parseJson("\"raw\tcontrol\"").has_value());
     EXPECT_TRUE(parseJson("{\"a\":[1,2,{\"b\":null}]}").has_value());
+}
+
+TEST(JsonParser, NestingDepthIsCapped)
+{
+    auto nested = [](int depth) {
+        std::string s;
+        for (int i = 0; i < depth; ++i)
+            s += i % 2 ? "{\"k\":" : "[";
+        s += "1";
+        for (int i = depth - 1; i >= 0; --i)
+            s += i % 2 ? "}" : "]";
+        return s;
+    };
+    std::string error;
+    EXPECT_TRUE(parseJson(nested(kMaxJsonDepth), &error).has_value())
+        << error;
+    EXPECT_FALSE(parseJson(nested(kMaxJsonDepth + 1), &error).has_value());
+    EXPECT_NE(error.find("nesting deeper than " +
+                         std::to_string(kMaxJsonDepth)),
+              std::string::npos)
+        << error;
+
+    // A hostile line far past the cap fails at the cap, not the stack.
+    EXPECT_FALSE(parseJson(std::string(1 << 20, '['), &error).has_value());
+    EXPECT_EQ(error, "nesting deeper than " +
+                         std::to_string(kMaxJsonDepth) + " at offset " +
+                         std::to_string(kMaxJsonDepth));
 }
 
 } // namespace

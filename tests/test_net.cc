@@ -4,7 +4,8 @@
  * blocking client (src/net/line_client.hh): accept/serve/shutdown on an
  * ephemeral port, the full serve protocol over a socket (v1 and v2),
  * pipelined requests answered in order, the structured over-limit
- * refusal, oversized-frame kill of a single connection, graceful
+ * refusal, oversized-frame kill of a single connection, a too-deeply
+ * nested line answered as a bad request on a live connection, graceful
  * drain-and-exit on a quit request, and the per-layer latency
  * breakdown. Skipped on non-Linux hosts where start() reports the
  * stubbed backend.
@@ -246,6 +247,29 @@ TEST(TcpServer, OversizedFrameKillsOnlyThatConnection)
     const TcpServer::Stats stats = server.stats();
     EXPECT_EQ(stats.frame_overruns, 1u);
     EXPECT_EQ(stats.requests, 2u);  // the flood never became a request
+}
+
+TEST(TcpServer, DeepNestingAnswersBadRequestAndKeepsTheConnection)
+{
+    GraphService service{ServiceConfig{}};
+    TcpServer server(loopback(), serviceHandler(service));
+    START_OR_SKIP(server);
+
+    LineClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+    // Under max_line_bytes, so it reaches the parser as a request.
+    const JsonValue bad =
+        parsed(client.roundTrip(std::string(200000, '[')));
+    EXPECT_FALSE(bad.find("ok")->boolean);
+    EXPECT_NE(bad.find("error")->string.find("nesting deeper than"),
+              std::string::npos);
+
+    // Same connection, next line: still served.
+    const JsonValue stats = parsed(
+        client.roundTrip(R"({"v":2,"request_id":"s","op":"stats"})"));
+    EXPECT_EQ(stats.find("type")->string, "result");
+    EXPECT_EQ(stats.find("request_id")->string, "s");
+    EXPECT_EQ(server.stats().frame_overruns, 0u);
 }
 
 TEST(TcpServer, QuitDrainsAndExitsClean)

@@ -5,13 +5,15 @@
  * answered in the v1 wire shape), the v2 tagged-union response forms
  * (ok / error{code, problems[]} / result{...}) with echoed request_id,
  * accumulated-problems decoding and rejection, the 429 rate-limited
- * error with its retry_after_seconds hint, and request encode/decode
+ * error with its retry_after_seconds hint, request encode/decode
  * round trips (the bench client and the server share exactly this one
- * parser/serializer).
+ * parser/serializer), the nesting cap on hostile lines, and the net
+ * stats provider being called for stats requests only.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -134,6 +136,89 @@ TEST(ProtocolV1, ErrorShapes)
     const JsonValue* reasons = rej.find("rejected");
     ASSERT_NE(reasons, nullptr);
     EXPECT_GE(reasons->array.size(), 2u);  // bad dataset AND bad algo
+    EXPECT_FALSE(quit);
+}
+
+TEST(ProtocolV1, DeepNestingIsABadRequestNotACrash)
+{
+    // The stdin front end hands each line straight to
+    // handleRequestLine; a 200 KB line of '[' once overflowed the
+    // parser's stack.
+    GraphService service{ServiceConfig{}};
+    bool quit = false;
+    const JsonValue resp = parsed(
+        handleRequestLine(service, std::string(200000, '['), quit));
+    EXPECT_EQ(resp.find("op")->string, "?");
+    EXPECT_FALSE(resp.find("ok")->boolean);
+    EXPECT_EQ(resp.find("error")->string,
+              "bad JSON: nesting deeper than " +
+                  std::to_string(kMaxJsonDepth) + " at offset " +
+                  std::to_string(kMaxJsonDepth));
+    EXPECT_FALSE(quit);
+
+    // The service is untouched and answers the next line.
+    const JsonValue stats =
+        parsed(handleRequestLine(service, R"({"op":"stats"})", quit));
+    EXPECT_TRUE(stats.find("ok")->boolean);
+    EXPECT_EQ(stats.find("stats")->find("submitted")->asUint64(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// The net-stats provider runs for stats requests only
+// ---------------------------------------------------------------------
+
+TEST(ProtocolNetStats, ProviderIsCalledOnlyForStats)
+{
+    ServiceConfig cfg;
+    cfg.workers = 2;
+    GraphService service(cfg);
+    bool quit = false;
+    int calls = 0;
+    const std::function<JsonReport()> provider = [&calls] {
+        ++calls;
+        JsonReport r;
+        r.set("requests", std::uint64_t{7});
+        return r;
+    };
+    auto handle = [&](const std::string& line) {
+        return parsed(handleRequestLine(service, line, quit, provider));
+    };
+
+    const JsonValue sub = handle(
+        R"({"op":"submit","tenant":"a","dataset":"WT",)"
+        R"("algo":"PageRank","preset":"degraded","iterations":2})");
+    const JobId id = sub.find("id")->asUint64();
+    handle(R"({"v":2,"request_id":"s","op":"submit","tenant":"a",)"
+           R"("dataset":"WT","algo":"PageRank","preset":"degraded",)"
+           R"("iterations":2})");
+    handle(R"({"op":"drain"})");
+    handle(R"({"v":2,"request_id":"d","op":"drain"})");
+    handle(R"({"op":"poll","id":)" + std::to_string(id) + "}");
+    handle(R"({"v":2,"request_id":"p","op":"poll","id":)" +
+           std::to_string(id) + "}");
+    handle("{\"broken");
+    handle(R"({"op":"zap"})");
+    handle(R"({"v":2,"request_id":"z","op":"zap"})");
+    EXPECT_EQ(calls, 0) << "a non-stats request built the net block";
+
+    const JsonValue v1 = handle(R"({"op":"stats"})");
+    EXPECT_EQ(calls, 1);
+    ASSERT_NE(v1.find("net"), nullptr);
+    EXPECT_EQ(v1.find("net")->find("requests")->asUint64(), 7u);
+
+    const JsonValue v2 = handle(R"({"v":2,"request_id":"st","op":"stats"})");
+    EXPECT_EQ(calls, 2);
+    const JsonValue* result = v2.find("result");
+    ASSERT_NE(result, nullptr);
+    ASSERT_NE(result->find("net"), nullptr);
+    EXPECT_EQ(result->find("net")->find("requests")->asUint64(), 7u);
+    ASSERT_NE(result->find("stats"), nullptr);
+
+    // Without a provider the stats response has no net block.
+    const JsonValue bare =
+        parsed(handleRequestLine(service, R"({"op":"stats"})", quit));
+    EXPECT_EQ(bare.find("net"), nullptr);
+    EXPECT_NE(bare.find("stats"), nullptr);
     EXPECT_FALSE(quit);
 }
 

@@ -81,10 +81,12 @@ runTcp(GraphService& service, const net::TcpServerConfig& net_cfg)
     net::TcpServer server(net_cfg, [&](const std::string& line) {
         net::HandlerResult out;
         bool quit = false;
-        // Stats requests get the server's own counters appended; one
-        // snapshot per request keeps the handler allocation-light.
-        const JsonReport net_json = server.stats().toJson();
-        out.line = handleRequestLine(service, line, quit, &net_json);
+        // Only a stats request snapshots the server's counters (a copy
+        // of every latency sample so far); every other line skips it,
+        // so its cost does not grow with the requests served before.
+        out.line = handleRequestLine(service, line, quit, [&server] {
+            return server.stats().toJson();
+        });
         out.shutdown_server = quit;
         return out;
     });
