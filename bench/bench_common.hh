@@ -215,14 +215,15 @@ writeReportAtomically(const std::string& path, const JsonReport& report)
 
 /**
  * Accumulates simulator-speed numbers across every runOn() call of a
- * bench process — split into idle-aware and legacy full-tick buckets —
- * and writes them as BENCH_engine.json (or $GMOMS_BENCH_ENGINE_JSON)
- * at process exit, via temp-file-then-rename so the file is never
- * observed half-written. When both engine modes ran in the same
- * process the report includes their cycles/sec ratio ("speedup").
- * Benches may attach extra pre-serialized sections (the tick-thread
- * sweep and checkpoint-latency records of bench_engine) with
- * addSection().
+ * bench process — split into idle-aware and legacy full-tick buckets.
+ * A process that called writeAtExit() (bench_engine, and only it)
+ * writes them as BENCH_engine.json (or $GMOMS_BENCH_ENGINE_JSON) at
+ * exit, via temp-file-then-rename so the file is never observed
+ * half-written; every other bench leaves the committed file alone.
+ * When both engine modes ran in the same process the report includes
+ * their cycles/sec ratio ("speedup"). Benches may attach extra
+ * pre-serialized sections (the tick-thread sweep and checkpoint-latency
+ * records of bench_engine) with addSection().
  */
 class EngineBenchRecorder
 {
@@ -263,9 +264,17 @@ class EngineBenchRecorder
         sections_.emplace_back(key, std::move(json));
     }
 
+    /** Opt in to writing the report at process exit. */
+    void
+    writeAtExit()
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        write_at_exit_ = true;
+    }
+
     ~EngineBenchRecorder()
     {
-        if (idle_.runs == 0 && full_.runs == 0 && sections_.empty())
+        if (!write_at_exit_)
             return;
         const char* env = std::getenv("GMOMS_BENCH_ENGINE_JSON");
         const std::string path = env ? env : "BENCH_engine.json";
@@ -323,6 +332,7 @@ class EngineBenchRecorder
     }
 
     std::mutex mu_;  //!< add() is called from sweep workers
+    bool write_at_exit_ = false;
     Bucket idle_;
     Bucket full_;
     std::vector<std::pair<std::string, std::string>> sections_;

@@ -9,10 +9,11 @@
  * speedup. Two further sections cover this layer's other speed knobs:
  * a tick-thread sweep (AccelConfig::tick_threads in {1,2,4,8} on the
  * Fig. 11 reference design point, asserting bit-exact results at every
- * count) and checkpoint capture/restore/fork latency. The
- * EngineBenchRecorder in bench_common.hh writes all aggregate numbers
- * — including host_cpus, without which the tick-thread speedups cannot
- * be interpreted — to BENCH_engine.json at exit, atomically.
+ * count) and checkpoint capture/restore/fork latency. This is the one
+ * bench that opts the EngineBenchRecorder (bench_common.hh) in to
+ * writing: all aggregate numbers — including host_cpus, without which
+ * the tick-thread speedups cannot be interpreted — land in
+ * BENCH_engine.json at exit, atomically.
  */
 
 #include "bench/bench_common.hh"
@@ -24,6 +25,7 @@ using namespace gmoms::bench;
 int
 main()
 {
+    EngineBenchRecorder::instance().writeAtExit();
     std::printf("=== Engine speed: idle-aware vs legacy full-tick "
                 "===\n\n");
 

@@ -13,7 +13,7 @@
  * This binary overrides global operator new/delete to count heap
  * allocations — the hot-path de-allocation work (FlatMap/RingDeque
  * replacing unordered_map/deque in PE, BurstAssembler, MomsBank and
- * DramChannel) shows up as allocations-per-job, which would be orders
+ * MemChannel) shows up as allocations-per-job, which would be orders
  * of magnitude higher with node-based containers on the tick path.
  *
  * Usage: bench_sweep [--smoke]

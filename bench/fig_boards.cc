@@ -76,8 +76,6 @@ runPoint(const CooGraph& g, const Point& j, const TelemetryCli& cli)
         res = session.scc(convergenceCap());
     else
         res = session.sssp(0, convergenceCap());
-    EngineBenchRecorder::instance().add(res.engine, res.wall_seconds,
-                                        res.full_tick);
     return res;
 }
 
@@ -294,8 +292,6 @@ main(int argc, char** argv)
                               .build();
         const SessionResult res =
             session.pageRank(pagerankIterations());
-        EngineBenchRecorder::instance().add(
-            res.engine, res.wall_seconds, res.full_tick);
         std::printf("completed: %.3f GTEPS over %llu cycles, "
                     "%.1f%% cut, %.2f MB on the wire\n\n",
                     res.gteps,

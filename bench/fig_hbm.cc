@@ -314,8 +314,6 @@ main(int argc, char** argv)
                               .config(std::move(cfg))
                               .build();
         const SessionResult res = session.scc(1000);
-        EngineBenchRecorder::instance().add(
-            res.engine, res.wall_seconds, res.full_tick);
         return serve::valuesChecksum(res.run.raw_values);
     };
     std::uint64_t want = 0;

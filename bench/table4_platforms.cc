@@ -20,7 +20,7 @@ main()
         {"platform", "system", "ext. mem bandwidth", "power"});
     table.addRow({"This work, FabGraph", "FPGA (AWS f1, VU9P)",
                   "64 GB/s (4x DDR4)", "23 W"});
-    // The simulated HBM substrate (mem/hbm_channel, fig_hbm): a
+    // The simulated HBM substrate (MemSubstrateConfig::hbm2, fig_hbm): a
     // U280-class half stack at the same accelerator clock. Not a paper
     // row — it contextualizes the frontier bench against the GPU's HBM2
     // below.

@@ -293,6 +293,9 @@ MomsSystem::MomsSystem(Engine& engine, MemorySystem& mem,
     const bool has_shared = cfg.topology != MomsConfig::Topology::Private;
     const bool has_private = cfg.topology != MomsConfig::Topology::Shared;
 
+    if (num_pes == 0)
+        fatal("MomsSystem needs at least one PE port");
+
     if (has_shared) {
         if (cfg.num_shared_banks == 0 ||
             cfg.num_shared_banks % num_channels_ != 0)
@@ -330,17 +333,24 @@ MomsSystem::MomsSystem(Engine& engine, MemorySystem& mem,
             shared_banks_.back()->cpuReqIn().setProducer(this);
             shared_banks_.back()->cpuRespOut().setConsumer(this);
         }
+        bank_resp_occupancy_.assign(
+            occupancyRowBytes(shared_banks_.size()), 0);
+        for (std::size_t b = 0; b < shared_banks_.size(); ++b)
+            shared_banks_[b]->cpuRespOut().bindOccupancy(
+                &bank_resp_occupancy_[b]);
     }
 
     // Crossbar client queues: one pair per PE/private bank.
     if (has_shared) {
         const std::size_t cap = std::max<std::size_t>(
             cfg.crossbar_queue_depth, cfg.crossing_latency + 2);
+        xbar_req_occupancy_.assign(occupancyRowBytes(num_pes), 0);
         for (std::uint32_t c = 0; c < num_pes; ++c) {
             xbar_req_.push_back(std::make_unique<TimedQueue<ReadReq>>(
                 engine, cap, cfg.crossing_latency));
             xbar_resp_.push_back(std::make_unique<TimedQueue<ReadResp>>(
                 engine, cap, cfg.crossing_latency));
+            xbar_req_.back()->bindOccupancy(&xbar_req_occupancy_[c]);
             xbar_req_.back()->setConsumer(this);
             xbar_resp_.back()->setProducer(this);
         }
@@ -427,10 +437,21 @@ MomsSystem::nextActivity() const
     // already travelling through a crossbar queue or a bank response
     // port bounds the next arbitration cycle even if not poppable yet.
     Cycle next = kCycleNever;
-    for (const auto& q : xbar_req_)
-        next = std::min(next, q->peekReadyCycle());
-    for (const auto& b : shared_banks_)
-        next = std::min(next, b->cpuRespOut().peekReadyCycle());
+    forEachOccupied(xbar_req_occupancy_.data(),
+                    static_cast<std::uint32_t>(xbar_req_.size()), 0,
+                    [&](std::uint32_t c) {
+                        next = std::min(next,
+                                        xbar_req_[c]->peekReadyCycle());
+                        return false;
+                    });
+    forEachOccupied(bank_resp_occupancy_.data(),
+                    static_cast<std::uint32_t>(shared_banks_.size()), 0,
+                    [&](std::uint32_t b) {
+                        next = std::min(
+                            next,
+                            shared_banks_[b]->cpuRespOut().peekReadyCycle());
+                        return false;
+                    });
     return next;
 }
 
@@ -466,9 +487,11 @@ MomsSystem::tick()
         static_cast<std::uint32_t>(shared_banks_.size());
 
     // Request crossbar: each bank accepts at most one request per
-    // cycle. Single O(clients) pass in rotating priority order: a
-    // client whose head request targets an already-claimed bank loses
-    // the conflict this cycle (that is the bank-conflict bottleneck of
+    // cycle. Single pass over the clients holding a request, in
+    // rotating priority order from rr % n (the order of a (rr + i) % n
+    // scan until rr + i wraps 2^32, four billion cycles in): a client
+    // whose head request targets an already-claimed bank loses the
+    // conflict this cycle (that is the bank-conflict bottleneck of
     // Section II).
     // Claim markers are epoch stamps (claimed == stamp equals this
     // tick's epoch), so an arbitration pass costs no O(banks) clear on
@@ -476,56 +499,61 @@ MomsSystem::tick()
     bank_claimed_.resize(banks, 0);
     client_claimed_.resize(clients, 0);
     const std::uint64_t epoch = ++claim_epoch_;
-    for (std::uint32_t i = 0; i < clients; ++i) {
-        const std::uint32_t c = (xbar_req_rr_ + i) % clients;
-        if (!xbar_req_[c]->canPop())
-            continue;
-        const std::uint32_t b =
-            bankOf(lineOf(xbar_req_[c]->front().addr));
-        if (bank_claimed_[b] == epoch) {
-            ++xbar_stats_.req_conflicts;
-            continue;
-        }
-        MomsBank& bank = *shared_banks_[b];
-        if (!bank.cpuReqIn().canPush()) {
-            ++xbar_stats_.req_bank_busy;
-            continue;
-        }
-        if (faults_ && faults_->drop_next_request) {
-            faults_->drop_next_request = false;
-            xbar_req_[c]->pop();  // token vanishes: never reaches a bank
+    forEachOccupied(
+        xbar_req_occupancy_.data(), clients, xbar_req_rr_ % clients,
+        [&](std::uint32_t c) {
+            TimedQueue<ReadReq>& in = *xbar_req_[c];
+            if (!in.canPop())
+                return false;
+            const std::uint32_t b = bankOf(lineOf(in.front().addr));
+            if (bank_claimed_[b] == epoch) {
+                ++xbar_stats_.req_conflicts;
+                return false;
+            }
+            MomsBank& bank = *shared_banks_[b];
+            if (!bank.cpuReqIn().canPush()) {
+                ++xbar_stats_.req_bank_busy;
+                return false;
+            }
+            if (faults_ && faults_->drop_next_request) {
+                faults_->drop_next_request = false;
+                in.pop();  // token vanishes: never reaches a bank
+                bank_claimed_[b] = epoch;
+                return false;
+            }
+            bank.cpuReqIn().push(in.pop());
             bank_claimed_[b] = epoch;
-            continue;
-        }
-        bank.cpuReqIn().push(xbar_req_[c]->pop());
-        bank_claimed_[b] = epoch;
-    }
+            return false;
+        });
     ++xbar_req_rr_;
 
     // Response crossbar: each client receives at most one response per
-    // cycle; single O(banks) pass in rotating priority order.
-    for (std::uint32_t i = 0; i < banks; ++i) {
-        const std::uint32_t b = (xbar_resp_rr_ + i) % banks;
-        MomsBank& bank = *shared_banks_[b];
-        if (!bank.cpuRespOut().canPop())
-            continue;
-        const std::uint32_t c = bank.cpuRespOut().front().client;
-        if (client_claimed_[c] == epoch) {
-            ++xbar_stats_.resp_conflicts;
-            continue;
-        }
-        if (faults_ && faults_->stuck_client ==
-                           static_cast<std::int32_t>(c)) {
-            ++xbar_stats_.resp_backpressure;  // credit never comes back
-            continue;
-        }
-        if (!xbar_resp_[c]->canPush()) {
-            ++xbar_stats_.resp_backpressure;
-            continue;
-        }
-        xbar_resp_[c]->push(bank.cpuRespOut().pop());
-        client_claimed_[c] = epoch;
-    }
+    // cycle; single pass over the banks holding a response, in
+    // rotating priority order.
+    forEachOccupied(
+        bank_resp_occupancy_.data(), banks, xbar_resp_rr_ % banks,
+        [&](std::uint32_t b) {
+            TimedQueue<ReadResp>& out = shared_banks_[b]->cpuRespOut();
+            if (!out.canPop())
+                return false;
+            const std::uint32_t c = out.front().client;
+            if (client_claimed_[c] == epoch) {
+                ++xbar_stats_.resp_conflicts;
+                return false;
+            }
+            if (faults_ && faults_->stuck_client ==
+                               static_cast<std::int32_t>(c)) {
+                ++xbar_stats_.resp_backpressure;  // credit never returns
+                return false;
+            }
+            if (!xbar_resp_[c]->canPush()) {
+                ++xbar_stats_.resp_backpressure;
+                return false;
+            }
+            xbar_resp_[c]->push(out.pop());
+            client_claimed_[c] = epoch;
+            return false;
+        });
     ++xbar_resp_rr_;
 }
 

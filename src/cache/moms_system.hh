@@ -243,6 +243,10 @@ class MomsSystem : public Component
     // TwoLevel the "clients" are the private banks.
     std::vector<std::unique_ptr<TimedQueue<ReadReq>>> xbar_req_;
     std::vector<std::unique_ptr<TimedQueue<ReadResp>>> xbar_resp_;
+    // Occupancy rows of the two arbitration inputs (forEachOccupied):
+    // the client request queues and the shared banks' response queues.
+    std::vector<std::uint8_t> xbar_req_occupancy_;
+    std::vector<std::uint8_t> bank_resp_occupancy_;
     std::uint32_t xbar_req_rr_ = 0;
     std::uint32_t xbar_resp_rr_ = 0;
     /** Next cycle the rr pointers have not yet accounted for: under

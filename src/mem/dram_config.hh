@@ -46,8 +46,8 @@ struct DramConfig
 
     /** Extra bus gap when consecutive transactions hit the same bank
      *  (HBM2 pseudo-channels: tCCD_L-class turnaround on the shared
-     *  bank group). 0 on DDR4, where the wide bus hides it. Only the
-     *  HbmChannel model charges this. */
+     *  bank group). 0 on DDR4, where the wide bus hides it, so a DDR4
+     *  channel never charges it. */
     std::uint32_t same_bank_gap_cycles = 0;
 
     /** Request queue depth per input port. Deep queues matter: the

@@ -1,4 +1,4 @@
-#include "src/mem/hbm_channel.hh"
+#include "src/mem/mem_channel.hh"
 
 #include <algorithm>
 #include <limits>
@@ -8,13 +8,15 @@
 namespace gmoms
 {
 
-HbmChannel::HbmChannel(const Engine& engine, std::string name,
-                       const DramConfig& cfg, std::uint32_t num_ports)
-    : MemChannel(std::move(name)), engine_(engine), cfg_(cfg),
+MemChannel::MemChannel(const Engine& engine, std::string name,
+                       MemKind kind, const DramConfig& cfg,
+                       std::uint32_t num_ports)
+    : Component(std::move(name)), engine_(engine), kind_(kind), cfg_(cfg),
+      req_occupancy_(occupancyRowBytes(num_ports), 0),
       open_row_(cfg.num_banks, std::numeric_limits<std::uint64_t>::max())
 {
     if (num_ports == 0)
-        fatal("HbmChannel needs at least one port");
+        fatal("MemChannel needs at least one port");
     req_ports_.reserve(num_ports);
     resp_ports_.reserve(num_ports);
     for (std::uint32_t p = 0; p < num_ports; ++p) {
@@ -22,6 +24,7 @@ HbmChannel::HbmChannel(const Engine& engine, std::string name,
             engine_, cfg.port_queue_depth, 1));
         resp_ports_.push_back(std::make_unique<TimedQueue<MemResp>>(
             engine_, cfg.resp_queue_depth, 1));
+        req_ports_.back()->bindOccupancy(&req_occupancy_[p]);
         // Wake the channel when a request arrives and when a full
         // response queue frees a slot (delivery was backpressured).
         req_ports_.back()->setConsumer(this);
@@ -30,7 +33,7 @@ HbmChannel::HbmChannel(const Engine& engine, std::string name,
 }
 
 Cycle
-HbmChannel::serviceCycles(const MemReq& req)
+MemChannel::serviceCycles(const MemReq& req)
 {
     Cycle occupancy = ceilDiv(req.bytes, cfg_.bus_bytes_per_cycle) +
                       cfg_.request_overhead_cycles;
@@ -54,7 +57,7 @@ HbmChannel::serviceCycles(const MemReq& req)
 }
 
 void
-HbmChannel::tick()
+MemChannel::tick()
 {
     const Cycle now = engine_.now();
 
@@ -72,33 +75,31 @@ HbmChannel::tick()
     if (bus_free_at_ > now)
         return;  // data bus still busy with the previous transaction
     const std::uint32_t n = numPorts();
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const std::uint32_t p = (next_port_ + i) % n;
-        TimedQueue<MemReq>& rq = *req_ports_[p];
-        if (!rq.canPop())
-            continue;
-        MemReq req = rq.pop();
-        const Cycle start = std::max(now, bus_free_at_);
-        const Cycle occupancy = serviceCycles(req);
-        bus_free_at_ = start + occupancy;
-        stats_.busy_cycles += occupancy;
-        if (req.write) {
-            ++stats_.writes;
-            stats_.bytes_written += req.bytes;
-        } else {
-            ++stats_.reads;
-            stats_.bytes_read += req.bytes;
-        }
-        in_flight_.push_back(InFlight{
-            MemResp{req.addr, req.bytes, req.tag, req.write}, p,
-            bus_free_at_ + cfg_.load_latency_cycles});
-        next_port_ = (p + 1) % n;
-        break;
+    const std::uint32_t p = forEachOccupied(
+        req_occupancy_.data(), n, next_port_,
+        [this](std::uint32_t i) { return req_ports_[i]->canPop(); });
+    if (p == n)
+        return;
+    MemReq req = req_ports_[p]->pop();
+    const Cycle start = std::max(now, bus_free_at_);
+    const Cycle occupancy = serviceCycles(req);
+    bus_free_at_ = start + occupancy;
+    stats_.busy_cycles += occupancy;
+    if (req.write) {
+        ++stats_.writes;
+        stats_.bytes_written += req.bytes;
+    } else {
+        ++stats_.reads;
+        stats_.bytes_read += req.bytes;
     }
+    in_flight_.push_back(InFlight{
+        MemResp{req.addr, req.bytes, req.tag, req.write}, p,
+        bus_free_at_ + cfg_.load_latency_cycles});
+    next_port_ = p + 1 == n ? 0 : p + 1;
 }
 
 Cycle
-HbmChannel::nextActivity() const
+MemChannel::nextActivity() const
 {
     const Cycle now = engine_.now();
     Cycle next = kCycleNever;
@@ -110,20 +111,22 @@ HbmChannel::nextActivity() const
         // else: blocked on a full response queue; its producer hook
         // (bound in the constructor) wakes us when a slot frees.
     }
-    for (const auto& rq : req_ports_) {
-        // In-flight requests count too: a token pushed toward us with
-        // arrival cycle r can first be accepted at max(r, bus free),
-        // and never before next cycle (we just ticked).
-        const Cycle r = rq->peekReadyCycle();
-        if (r != kCycleNever)
-            next = std::min(next,
-                            std::max({r, bus_free_at_, now + 1}));
-    }
+    // In-flight requests count too: a token pushed toward us with
+    // arrival cycle r can first be accepted at max(r, bus free), and
+    // never before next cycle (we just ticked).
+    forEachOccupied(req_occupancy_.data(), numPorts(), 0,
+                    [&](std::uint32_t p) {
+                        next = std::min(
+                            next,
+                            std::max({req_ports_[p]->peekReadyCycle(),
+                                      bus_free_at_, now + 1}));
+                        return false;
+                    });
     return next;
 }
 
 bool
-HbmChannel::idle() const
+MemChannel::idle() const
 {
     if (!in_flight_.empty())
         return false;
@@ -137,7 +140,7 @@ HbmChannel::idle() const
 }
 
 void
-HbmChannel::registerStats(StatRegistry& reg) const
+MemChannel::registerStats(StatRegistry& reg) const
 {
     stat_eraser_ = reg.scopedPrefix(name() + ".");
     reg.addCounter(name() + ".reads", &stats_.reads);
@@ -149,25 +152,30 @@ HbmChannel::registerStats(StatRegistry& reg) const
     reg.addCounter(name() + ".busy_cycles", &stats_.busy_cycles);
     reg.addCounter(name() + ".row_miss_penalty_cycles",
                    &stats_.row_miss_penalty_cycles);
-    reg.addCounter(name() + ".bank_gap_cycles", &bank_gap_cycles_);
+    if (kind_ == MemKind::Hbm2)
+        reg.addCounter(name() + ".bank_gap_cycles", &bank_gap_cycles_);
 }
 
 void
-HbmChannel::registerTelemetry(Telemetry& tele)
+MemChannel::registerTelemetry(Telemetry& tele)
 {
-    // One stall group per pseudo-channel (the component name, e.g.
-    // "hbm.pc3"): with 16-32 narrow channels, WHICH pseudo-channel is
-    // hot is the diagnosis, so the attribution stays per-channel where
-    // DDR4 aggregates under "dram". Charges are per-transaction (no
-    // per-tick retry counting), so they are engine-mode exact.
-    tele.addStall(name(), StallCause::RowMiss,
+    // No per-tick backpressure counting here: the delivery-retry loop
+    // runs at different tick frequencies under the two engine modes,
+    // so a per-tick counter would not be engine-mode exact. Row-miss
+    // and same-bank-gap cycles are charged per transaction and are
+    // exact. DDR4 channels share the aggregate "dram" group; each HBM2
+    // pseudo-channel reports under its own name.
+    const bool hbm = kind_ == MemKind::Hbm2;
+    const std::string group = hbm ? name() : std::string("dram");
+    tele.addStall(group, StallCause::RowMiss,
                   &stats_.row_miss_penalty_cycles);
-    tele.addStall(name(), StallCause::BankConflict, &bank_gap_cycles_);
-    tele.addCounter(name() + ".bytes_read", &stats_.bytes_read);
-    tele.addCounter(name() + ".bytes_written", &stats_.bytes_written);
-    tele.addCounter(name() + ".busy_cycles", &stats_.busy_cycles);
-    tele.addCounter(name() + ".row_misses", &stats_.row_misses);
-    tele.addLevel(name() + ".in_flight", [this] {
+    if (hbm)
+        tele.addStall(group, StallCause::BankConflict, &bank_gap_cycles_);
+    tele.addCounter(group + ".bytes_read", &stats_.bytes_read);
+    tele.addCounter(group + ".bytes_written", &stats_.bytes_written);
+    tele.addCounter(group + ".busy_cycles", &stats_.busy_cycles);
+    tele.addCounter(group + ".row_misses", &stats_.row_misses);
+    tele.addLevel(group + ".in_flight", [this] {
         return static_cast<double>(in_flight_.size());
     });
     in_flight_.attachProbe(

@@ -2,10 +2,12 @@
  * @file
  * Pluggable external-memory substrate selection.
  *
- * A MemSubstrateConfig names the whole off-chip memory: which channel
- * model to instantiate (DDR4 channel vs HBM2 pseudo-channel), how many
- * of them, the address-interleave granularity that stripes the flat
- * address space across them, and the per-channel timing/geometry knobs.
+ * A MemSubstrateConfig names the whole off-chip memory: which kind of
+ * channel MemorySystem builds (DDR4 channel vs HBM2 pseudo-channel),
+ * how many of them, the address-interleave granularity that stripes
+ * the flat address space across them, and the per-channel
+ * timing/geometry knobs. Both kinds are one MemChannel model; the kind
+ * picks the timing preset and the telemetry naming.
  *
  * The two presets are calibrated against published f1/U280 numbers at a
  * 250 MHz accelerator clock:
@@ -35,11 +37,11 @@
 namespace gmoms
 {
 
-/** Which channel model MemorySystem instantiates. */
+/** Which kind of channel MemorySystem instantiates. */
 enum class MemKind : std::uint8_t
 {
-    Ddr4 = 0,  //!< DramChannel: wide bus, large rows, coarse interleave
-    Hbm2 = 1,  //!< HbmChannel: narrow pseudo-channels, fine interleave
+    Ddr4 = 0,  //!< wide bus, large rows, coarse interleave
+    Hbm2 = 1,  //!< narrow pseudo-channels, fine interleave
 };
 
 /** Human-readable kind name ("ddr4" / "hbm2"). */

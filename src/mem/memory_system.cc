@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/mem/dram_channel.hh"
-#include "src/mem/hbm_channel.hh"
 #include "src/sim/log.hh"
 
 namespace gmoms
@@ -26,19 +24,26 @@ MemorySystem::MemorySystem(Engine& engine, const MemSubstrateConfig& cfg,
               std::to_string(cfg_.interleave_bytes));
     channels_.reserve(cfg_.channels);
     for (std::uint32_t c = 0; c < cfg_.channels; ++c) {
-        const std::string name = name_prefix + cfg_.channelName(c);
-        if (cfg_.kind == MemKind::Hbm2)
-            channels_.push_back(std::make_unique<HbmChannel>(
-                engine, name, cfg_.timing, num_ports));
-        else
-            channels_.push_back(std::make_unique<DramChannel>(
-                engine, name, cfg_.timing, num_ports));
+        channels_.push_back(std::make_unique<MemChannel>(
+            engine, name_prefix + cfg_.channelName(c), cfg_.kind,
+            cfg_.timing, num_ports));
         engine.add(channels_.back().get());
         // Channels qualify for parallel ticking: each one touches only
         // its own bank/bus state and the port queues it is the sole
         // registered endpoint of (clients live in other tick groups).
         engine.setTickGroup(channels_.back().get(), dram_tick_group);
     }
+    // Each response flag lives in its requester's row: channels (the
+    // producers) set bytes of many rows, a port reads only its own.
+    const std::size_t row = occupancyRowBytes(cfg_.channels);
+    resp_occupancy_.assign(num_ports * row, 0);
+    resp_queues_.reserve(std::size_t{num_ports} * cfg_.channels);
+    for (std::uint32_t p = 0; p < num_ports; ++p)
+        for (std::uint32_t c = 0; c < cfg_.channels; ++c) {
+            TimedQueue<MemResp>& q = channels_[c]->respPort(p);
+            q.bindOccupancy(&resp_occupancy_[p * row + c]);
+            resp_queues_.push_back(&q);
+        }
 }
 
 MemorySystem::MemorySystem(Engine& engine, const DramConfig& cfg,
@@ -112,15 +117,14 @@ std::optional<MemResp>
 MemPort::receive()
 {
     const std::uint32_t n = sys_->numChannels();
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const std::uint32_t c = (rr_ + i) % n;
-        auto& q = sys_->channels_[c]->respPort(port_);
-        if (q.canPop()) {
-            rr_ = (c + 1) % n;
-            return q.pop();
-        }
-    }
-    return std::nullopt;
+    TimedQueue<MemResp>* const* queues = sys_->respQueues(port_);
+    const std::uint32_t c = forEachOccupied(
+        sys_->respOccupancy(port_), n, rr_,
+        [queues](std::uint32_t i) { return queues[i]->canPop(); });
+    if (c == n)
+        return std::nullopt;
+    rr_ = c + 1 == n ? 0 : c + 1;
+    return queues[c]->pop();
 }
 
 void
@@ -136,12 +140,13 @@ MemPort::bindClient(Component* c)
 Cycle
 MemPort::responseReadyCycle() const
 {
-    const std::uint32_t n = sys_->numChannels();
+    TimedQueue<MemResp>* const* queues = sys_->respQueues(port_);
     Cycle next = kCycleNever;
-    for (std::uint32_t c = 0; c < n; ++c)
-        next = std::min(next,
-                        sys_->channels_[c]->respPort(port_)
-                            .peekReadyCycle());
+    forEachOccupied(sys_->respOccupancy(port_), sys_->numChannels(), 0,
+                    [&](std::uint32_t c) {
+                        next = std::min(next, queues[c]->peekReadyCycle());
+                        return false;
+                    });
     return next;
 }
 

@@ -31,9 +31,10 @@ class MemorySystem;
  * One requester's window onto all channels.
  *
  * send() routes by address to the owning channel; receive() polls the
- * requester's response queues round-robin. Requests must not cross an
- * interleave boundary — the issuing logic (DMA, MOMS bank) splits at
- * interleaveBytes().
+ * requester's response queues round-robin, visiting only the channels
+ * whose queue holds a token (the port's occupancy row). Requests must
+ * not cross an interleave boundary — the issuing logic (DMA, MOMS
+ * bank) splits at interleaveBytes().
  */
 class MemPort
 {
@@ -141,8 +142,25 @@ class MemorySystem
     bool idle() const;
 
   private:
+    /** Port @p p's response-queue occupancy row (one byte per
+     *  channel, padded to whole words; see forEachOccupied). */
+    const std::uint8_t*
+    respOccupancy(std::uint32_t p) const
+    {
+        return &resp_occupancy_[p * occupancyRowBytes(channels_.size())];
+    }
+
+    /** Port @p p's response queues, indexed by channel. */
+    TimedQueue<MemResp>* const*
+    respQueues(std::uint32_t p) const
+    {
+        return &resp_queues_[p * channels_.size()];
+    }
+
     MemSubstrateConfig cfg_;
     std::vector<std::unique_ptr<MemChannel>> channels_;
+    std::vector<std::uint8_t> resp_occupancy_;      //!< [port] rows
+    std::vector<TimedQueue<MemResp>*> resp_queues_; //!< [port][channel]
     BackingStore store_;
 
     friend class MemPort;

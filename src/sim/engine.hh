@@ -46,7 +46,7 @@ class TickTeam;
  *  uses which (see Engine::setTickGroup for the hazard contract). */
 namespace tick_group
 {
-constexpr int kDram = 0;       //!< all DramChannels
+constexpr int kDram = 0;       //!< all MemChannels (DDR4 or HBM2)
 constexpr int kCacheBank = 1;  //!< all MomsBanks (shared and private)
 
 /** Cluster boards get disjoint per-board groups so one board's banks

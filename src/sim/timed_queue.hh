@@ -19,6 +19,13 @@
  * runUntil predicates) simply get no wakes — they are covered by the
  * engine's every-cycle predicate polling.
  *
+ * Occupancy flags let a component that polls many queues round-robin
+ * skip the empty ones: each queue of the group is bound to one byte of
+ * a row (bindOccupancy()) that reads 1 exactly while the queue holds a
+ * token, and the poller walks the row with forEachOccupied(). Only the
+ * producer sets a flag and only the consumer clears it, which keeps
+ * the parallel-tick hazard rule (docs/MODEL.md) intact.
+ *
  * Die crossings (Fig. 5 of the paper) are modelled by raising the latency
  * to the crossing delay and ensuring capacity >= latency + 2, mirroring the
  * paper's "queue needs at least four slots" observation for a 2-cycle
@@ -28,7 +35,10 @@
 #ifndef GMOMS_SIM_TIMED_QUEUE_HH
 #define GMOMS_SIM_TIMED_QUEUE_HH
 
+#include <bit>
 #include <cassert>
+#include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -72,6 +82,19 @@ class TimedQueue
             probe_->onChange(engine_->now(), size_);
     }
 
+    /**
+     * Keep *@p flag equal to "holds a token": the push into an empty
+     * queue sets it, before the token is poppable, and the pop that
+     * empties the queue clears it. Binding a non-empty queue sets it
+     * at once.
+     */
+    void
+    bindOccupancy(std::uint8_t* flag)
+    {
+        occupancy_ = flag;
+        *occupancy_ = size_ != 0;
+    }
+
     /** True if a push this cycle would be accepted. */
     bool canPush() const { return size_ < capacity_; }
 
@@ -91,6 +114,8 @@ class TimedQueue
         slot.item = std::move(item);
         slot.ready = engine_->now() + latency_;
         ++size_;
+        if (size_ == 1 && occupancy_)
+            *occupancy_ = 1;
         if (probe_)
             probe_->onChange(engine_->now(), size_);
         Engine::wake(consumer_, slot.ready);
@@ -121,6 +146,8 @@ class TimedQueue
         T item = std::move(ring_[head_].item);
         head_ = wrap(head_ + 1);
         --size_;
+        if (size_ == 0 && occupancy_)
+            *occupancy_ = 0;
         if (probe_)
             probe_->onChange(engine_->now(), size_);
         if (was_full)
@@ -160,9 +187,70 @@ class TimedQueue
     Component* producer_ = nullptr;
     Component* consumer_ = nullptr;
     QueueProbe* probe_ = nullptr;
+    std::uint8_t* occupancy_ = nullptr;
     std::size_t head_ = 0;  //!< index of the oldest token
     std::size_t size_ = 0;
 };
+
+/** Bytes of an occupancy row over @p n queues: whole 8-byte words, so
+ *  forEachOccupied() tests eight flags per load and never reads a
+ *  byte of the next row. */
+constexpr std::size_t
+occupancyRowBytes(std::size_t n)
+{
+    return (n + 7) / 8 * 8;
+}
+
+/**
+ * Call @p visit(i) for every set flag i of the occupancy row @p row
+ * (@p n flags, occupancyRowBytes(n) bytes) in the rotated order
+ * start..n-1, 0..start-1 — the order of a `(start + k) % n` scan —
+ * until a call returns true.
+ *
+ * A word is read when the walk reaches it, so a visit that changes a
+ * flag may or may not change the walk. Pollers need only the queues
+ * that held a token before the walk began: a token pushed during it
+ * is not poppable before next cycle, and a visited queue emptied
+ * meanwhile just fails its canPop().
+ *
+ * @return the index whose visit returned true, or @p n.
+ */
+template <typename Visit>
+std::uint32_t
+forEachOccupied(const std::uint8_t* row, std::uint32_t n,
+                std::uint32_t start, Visit&& visit)
+{
+    static_assert(std::endian::native == std::endian::little,
+                  "flag i must be the low byte i of its word");
+    assert(n == 0 || start < n);
+    // Visit the set flags in [lo, hi); true when a visit accepted.
+    auto span = [&](std::uint32_t lo, std::uint32_t hi,
+                    std::uint32_t& hit) {
+        for (std::uint32_t base = lo & ~7u; base < hi; base += 8) {
+            std::uint64_t word;
+            std::memcpy(&word, row + base, sizeof word);
+            if (base < lo)
+                word &= ~std::uint64_t{0} << 8 * (lo - base);
+            if (hi - base < 8)
+                word &= ~(~std::uint64_t{0} << 8 * (hi - base));
+            // Flags are 0 or 1: bit 8k is flag base + k.
+            for (; word != 0; word &= word - 1) {
+                const std::uint32_t i =
+                    base + (static_cast<std::uint32_t>(
+                                std::countr_zero(word)) >> 3);
+                if (visit(i)) {
+                    hit = i;
+                    return true;
+                }
+            }
+        }
+        return false;
+    };
+    std::uint32_t hit = n;
+    if (!span(start, n, hit))
+        span(0, start, hit);
+    return hit;
+}
 
 } // namespace gmoms
 

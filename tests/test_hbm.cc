@@ -12,6 +12,7 @@
 #include "src/graph/generator.hh"
 #include "src/mem/memory_system.hh"
 #include "src/sim/engine.hh"
+#include "src/sim/rng.hh"
 
 namespace gmoms
 {
@@ -147,6 +148,64 @@ TEST_F(HbmFixture, RequestsMayNotCrossTheInterleaveUnit)
     EXPECT_EQ(port.interleaveBytes(), 256u);
     // 192 + 128 straddles the 256 B boundary.
     EXPECT_THROW(port.send(MemReq{192, 128, 1, false}), PanicError);
+}
+
+TEST(HbmPort, ReceiveFollowsTheRotatedScanOfTheChannels)
+{
+    // 3 channels fill part of one occupancy word, 9 spill into a
+    // second, 32 is a full HBM2 stack. Each round puts one response on
+    // a random subset of channels, all poppable in the same cycle; the
+    // port must hand them out in the order of a (rr + i) % n scan that
+    // restarts after the last channel served.
+    for (std::uint32_t n : {3u, 9u, 32u}) {
+        SCOPED_TRACE("channels=" + std::to_string(n));
+        Engine eng;
+        MemorySystem sys(eng, MemSubstrateConfig::hbm2(n), 1);
+        sys.store().resize(1 << 20);
+        MemPort port = sys.port(0);
+        Rng rng(n);
+        std::uint32_t rr = 0;  // reference round-robin pointer
+        std::vector<bool> served(n, false);
+        for (std::uint32_t round = 0; round < 4 * n; ++round) {
+            // Round 0 opens every channel's row, so later rounds see
+            // identical timing on every channel.
+            std::vector<bool> pending(n, false);
+            for (std::uint32_t c = 0; c < n; ++c)
+                pending[c] = round == 0 || rng.below(2) == 0;
+            std::uint32_t count = 0;
+            for (std::uint32_t c = 0; c < n; ++c) {
+                if (!pending[c])
+                    continue;
+                ASSERT_TRUE(port.send(MemReq{Addr{c} * 256, 64, c, false}));
+                ++count;
+            }
+            if (count == 0)
+                continue;
+            ASSERT_TRUE(eng.runUntil(
+                [&] { return port.responseReadyCycle() <= eng.now(); },
+                10000));
+
+            std::vector<std::uint64_t> want;
+            for (std::uint32_t k = 0; k < count; ++k)
+                for (std::uint32_t i = 0; i < n; ++i) {
+                    const std::uint32_t c = (rr + i) % n;
+                    if (!pending[c])
+                        continue;
+                    want.push_back(c);
+                    pending[c] = false;
+                    served[c] = true;
+                    rr = (c + 1) % n;
+                    break;
+                }
+            std::vector<std::uint64_t> got;
+            while (auto resp = port.receive())
+                got.push_back(resp->tag);
+            ASSERT_EQ(got, want) << "round " << round;
+            EXPECT_EQ(port.responseReadyCycle(), kCycleNever);
+        }
+        for (std::uint32_t c = 0; c < n; ++c)
+            EXPECT_TRUE(served[c]) << "pc" << c;
+    }
 }
 
 // --- system level -------------------------------------------------------

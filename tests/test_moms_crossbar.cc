@@ -159,5 +159,99 @@ TEST(Crossbar, ResponsesRouteToTheIssuingClient)
         EXPECT_EQ(got[p].size(), 100u);
 }
 
+/** What a pinned crossbar run produced. */
+struct XbarTrace
+{
+    Cycle cycles = 0;
+    std::uint64_t order_hash = 0;  //!< FNV-1a over (cycle, client, tag)
+    MomsSystem::XbarStats stats;
+};
+
+XbarTrace
+runPinnedCrossbar(bool full_tick)
+{
+    // 12 clients over 9 cache-less shared banks on 3 DDR4 channels:
+    // occupancy rows span two words on both crossbar sides. Two-deep
+    // bank inputs fill (bank busy), hot lines collide (conflicts), and
+    // every third client drains only every 32nd cycle, so four-deep
+    // response queues back up (backpressure).
+    constexpr std::uint32_t kClients = 12;
+    constexpr std::uint32_t kBanks = 9;
+    constexpr std::uint32_t kPerClient = 150;
+    Engine eng;
+    eng.setFullTick(full_tick);
+    MemorySystem mem(eng, DramConfig{}, 3, kBanks);
+    mem.store().resize(1 << 22);
+    MomsConfig cfg = MomsConfig::shared(kBanks);
+    cfg.shared_bank.cache_bytes = 0;
+    cfg.shared_bank.req_queue_depth = 2;
+    cfg.crossbar_queue_depth = 4;
+    cfg.crossing_latency = 1;
+    MomsSystem moms(eng, mem, 0, kClients, cfg);
+
+    XbarTrace out;
+    out.order_hash = 0xcbf29ce484222325ull;
+    auto mix = [&out](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            out.order_hash ^= (v >> (8 * i)) & 0xff;
+            out.order_hash *= 0x100000001b3ull;
+        }
+    };
+    std::vector<std::uint32_t> sent(kClients, 0), done(kClients, 0);
+    Rng rng(2024);
+    const bool ok = eng.runUntil(
+        [&] {
+            bool all = true;
+            for (std::uint32_t p = 0; p < kClients; ++p) {
+                SourcePort& port = moms.pePort(p);
+                if (sent[p] < kPerClient && port.canSend()) {
+                    // Half the requests hit a 24-line hot set.
+                    const Addr line = rng.below(2) == 0
+                                          ? rng.below(24)
+                                          : rng.below(1 << 14);
+                    port.send(ReadReq{line * kLineBytes,
+                                      (std::uint64_t{p} << 16) | sent[p],
+                                      p});
+                    ++sent[p];
+                }
+                const bool slow = p % 3 == 0 && eng.now() % 32 != 0;
+                while (!slow) {
+                    auto resp = port.receive();
+                    if (!resp)
+                        break;
+                    mix(eng.now());
+                    mix(p);
+                    mix(resp->tag);
+                    ++done[p];
+                }
+                all &= done[p] == kPerClient;
+            }
+            return all;
+        },
+        2'000'000);
+    EXPECT_TRUE(ok);
+    out.cycles = eng.now();
+    out.stats = moms.xbarStats();
+    return out;
+}
+
+TEST(Crossbar, RotatingPriorityGrantOrderAndCountsArePinned)
+{
+    // Recorded with a full (rr + i) % n scan over every queue: the
+    // grant order (through the response arrival sequence), the cycle
+    // count and every conflict/backpressure counter, identical in both
+    // engine modes.
+    for (bool full_tick : {false, true}) {
+        SCOPED_TRACE(full_tick ? "full tick" : "idle-aware");
+        const XbarTrace t = runPinnedCrossbar(full_tick);
+        EXPECT_EQ(t.cycles, 1568u);
+        EXPECT_EQ(t.order_hash, 8631146668340302332ull);
+        EXPECT_EQ(t.stats.req_conflicts, 3611u);
+        EXPECT_EQ(t.stats.req_bank_busy, 202u);
+        EXPECT_EQ(t.stats.resp_conflicts, 470u);
+        EXPECT_EQ(t.stats.resp_backpressure, 4631u);
+    }
+}
+
 } // namespace
 } // namespace gmoms

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "src/sim/engine.hh"
 #include "src/sim/rng.hh"
@@ -119,6 +120,81 @@ TEST(TimedQueue, InterleavedPushPopKeepsPerTokenLatency)
         eng.tick();
     }
     EXPECT_EQ(popped, 20u);
+}
+
+TEST(TimedQueue, OccupancyFlagTracksTokensNotReadiness)
+{
+    Engine eng;
+    TimedQueue<int> q(eng, 4, 3);
+    std::uint8_t flag = 7;
+    q.bindOccupancy(&flag);
+    EXPECT_EQ(flag, 0);  // binding an empty queue clears the byte
+
+    ASSERT_TRUE(q.push(1));
+    EXPECT_EQ(flag, 1);  // set at push, before the token is poppable
+    EXPECT_FALSE(q.canPop());
+    ASSERT_TRUE(q.push(2));
+    eng.tick();
+    eng.tick();
+    eng.tick();
+    ASSERT_TRUE(q.canPop());
+    EXPECT_EQ(q.pop(), 1);
+    EXPECT_EQ(flag, 1);  // a token remains
+    EXPECT_EQ(q.pop(), 2);
+    EXPECT_EQ(flag, 0);  // the pop that empties the queue clears it
+
+    ASSERT_TRUE(q.push(3));
+    EXPECT_EQ(flag, 1);
+}
+
+TEST(TimedQueue, BindingANonEmptyQueueSetsItsFlag)
+{
+    Engine eng;
+    TimedQueue<int> q(eng, 4, 1);
+    ASSERT_TRUE(q.push(5));
+    std::uint8_t flag = 0;
+    q.bindOccupancy(&flag);
+    EXPECT_EQ(flag, 1);
+    eng.tick();
+    EXPECT_EQ(q.pop(), 5);
+    EXPECT_EQ(flag, 0);
+}
+
+TEST(TimedQueue, OccupancyScanVisitsFlagsInRotatedOrder)
+{
+    // Rows of every length across the word boundaries, random flags,
+    // every start: the scan must equal a (start + k) % n filter, and
+    // stop at the first accepted index.
+    Rng rng(11);
+    for (std::uint32_t n = 1; n <= 33; ++n) {
+        std::vector<std::uint8_t> row(occupancyRowBytes(n), 0);
+        ASSERT_EQ(row.size() % 8, 0u);
+        for (std::uint32_t i = 0; i < n; ++i)
+            row[i] = rng.below(3) == 0 ? 1 : 0;
+        for (std::uint32_t start = 0; start < n; ++start) {
+            std::vector<std::uint32_t> want;
+            for (std::uint32_t k = 0; k < n; ++k)
+                if (row[(start + k) % n])
+                    want.push_back((start + k) % n);
+            std::vector<std::uint32_t> got;
+            const std::uint32_t none =
+                forEachOccupied(row.data(), n, start, [&](std::uint32_t i) {
+                    got.push_back(i);
+                    return false;
+                });
+            EXPECT_EQ(none, n);
+            EXPECT_EQ(got, want) << "n=" << n << " start=" << start;
+
+            if (want.size() >= 2) {
+                std::uint32_t calls = 0;
+                const std::uint32_t hit = forEachOccupied(
+                    row.data(), n, start,
+                    [&](std::uint32_t) { return ++calls == 2; });
+                EXPECT_EQ(hit, want[1]);
+                EXPECT_EQ(calls, 2u);
+            }
+        }
+    }
 }
 
 TEST(Rng, DeterministicForSameSeed)

@@ -65,19 +65,7 @@ formatRow(const SweepJob& j, const RunOutcome& out)
            std::to_string(out.result.cycles);
 }
 
-class SweepDeterminism : public ::testing::Test
-{
-  protected:
-    static void
-    SetUpTestSuite()
-    {
-        // Keep the EngineBenchRecorder's at-exit JSON out of the test
-        // working directory.
-        setenv("GMOMS_BENCH_ENGINE_JSON", "/dev/null", 1);
-    }
-};
-
-TEST_F(SweepDeterminism, PoolsOfAnySizeMatchTheSerialLoopExactly)
+TEST(SweepDeterminism, PoolsOfAnySizeMatchTheSerialLoopExactly)
 {
     const std::vector<SweepJob> jobs = smallJobs();
 
@@ -112,7 +100,7 @@ TEST_F(SweepDeterminism, PoolsOfAnySizeMatchTheSerialLoopExactly)
     }
 }
 
-TEST_F(SweepDeterminism, SharedDatasetHandleIsStableAcrossCallers)
+TEST(SweepDeterminism, SharedDatasetHandleIsStableAcrossCallers)
 {
     // The memo must hand every caller the same immutable graph (one
     // build per key, no copies) — including under concurrent access.
@@ -124,7 +112,7 @@ TEST_F(SweepDeterminism, SharedDatasetHandleIsStableAcrossCallers)
         EXPECT_EQ(h.get(), first.get());
 }
 
-TEST_F(SweepDeterminism, SweepPropagatesJobFailures)
+TEST(SweepDeterminism, SweepPropagatesJobFailures)
 {
     const std::vector<int> jobs = {0, 1, 2, 3};
     EXPECT_THROW(sweep(jobs,
