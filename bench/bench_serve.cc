@@ -17,13 +17,14 @@
  * impossibly small cycle budget so the retry -> degraded-fallback
  * path shows up in the numbers.
  *
- * A hot-repeat section measures the warm-session checkpoint pool:
- * the same job mix is pushed through two services — checkpoints off
- * (every attempt cold-builds and simulates) and on (repeat jobs fork a
- * pooled warm session and replay memoized results) — asserting per-job
- * bit-identical values_checksums and reporting the jobs/sec ratio. In
- * `--smoke` mode the checkpoint hit and fork counters are additionally
- * asserted nonzero (CI serve-smoke relies on this).
+ * A hot-repeat section measures the repeat-job path: the same job mix
+ * is pushed in batch mode through two services — checkpoint pool and
+ * result cache both off (every job cold-builds and simulates) and both
+ * on (simulated jobs fork a pooled warm session; repeats are answered
+ * from the result cache at dispatch) — asserting per-job bit-identical
+ * values_checksums and reporting the jobs/sec ratio and result-cache
+ * hits. In `--smoke` mode the checkpoint hit and fork counters are
+ * additionally asserted nonzero (CI serve-smoke relies on this).
  *
  * The TCP section (ISSUE 9) drives the epoll front end with an
  * open-loop pipelined v2-protocol client at several cache-hit ratios:
@@ -115,9 +116,8 @@ randomJob(std::mt19937& rng)
 }
 
 /** The hot-repeat job mix: @p repeats passes over a small set of
- *  distinct specs — exactly the repeat-heavy traffic the checkpoint
- *  pool targets. Deterministic (no RNG): both services see the same
- *  list. */
+ *  distinct specs on one checkpoint key — repeat-heavy traffic.
+ *  Deterministic (no RNG): both services see the same list. */
 std::vector<JobSpec>
 hotRepeatJobs(unsigned repeats)
 {
@@ -149,20 +149,18 @@ struct HotRepeatOutcome
     ServiceStats stats;
 };
 
-/** Push @p jobs through a fresh service in batch mode and collect the
+/** Push @p jobs through a fresh service in batch mode, with the
+ *  checkpoint pool and result cache both @p warm, and collect the
  *  per-job checksums in submit order. */
 HotRepeatOutcome
-runHotRepeat(const std::vector<JobSpec>& jobs, bool checkpoints)
+runHotRepeat(const std::vector<JobSpec>& jobs, bool warm)
 {
     ServiceConfig cfg;
     cfg.start_paused = true;  // batch: measure pure serving throughput
     cfg.max_queue_depth = jobs.size();
     cfg.per_tenant_quota = 0;
-    cfg.enable_checkpoints = checkpoints;
-    // Isolate the checkpoint-pool comparison from the result cache
-    // (which would otherwise absorb the repeats in live mode — the TCP
-    // section below measures *that* path).
-    cfg.enable_result_cache = false;
+    cfg.enable_checkpoints = warm;
+    cfg.enable_result_cache = warm;
     GraphService service(cfg);
 
     std::vector<JobId> ids;
@@ -763,9 +761,9 @@ main(int argc, char** argv)
                 "instead of queueing unboundedly, and every\n"
                 "tiny-budget job comes back Degraded — never lost.\n");
 
-    // --- Hot-repeat: checkpoint pool off vs on ----------------------
-    std::printf("\n=== Hot-repeat serving: checkpoint pool off vs on "
-                "===\n\n");
+    // --- Hot-repeat: checkpoint pool + result cache off vs on -------
+    std::printf("\n=== Hot-repeat serving: checkpoint pool + result "
+                "cache off vs on ===\n\n");
     const std::vector<JobSpec> hot_jobs =
         hotRepeatJobs(smoke ? 8 : 20);
     const HotRepeatOutcome cold = runHotRepeat(hot_jobs, false);
@@ -774,34 +772,35 @@ main(int argc, char** argv)
     bool hot_failed = false;
     if (cold.checksums != warmed.checksums ||
         cold.checksums.size() != hot_jobs.size()) {
-        std::printf("CHECKSUM MISMATCH: checkpoint-forked jobs did not "
-                    "reproduce cold-built results bit-for-bit\n");
+        std::printf("CHECKSUM MISMATCH: forked or cache-answered jobs "
+                    "did not reproduce cold-built results "
+                    "bit-for-bit\n");
         hot_failed = true;
     }
-    // The repeat-heavy mix must actually exercise the pool: every job
-    // forks, and every job after the first per key is a hit.
-    if (warmed.stats.checkpoints.hits == 0 ||
-        warmed.stats.checkpoints.forks == 0) {
+    // The repeat-heavy mix must actually exercise the pool: every
+    // simulated job forks, and the three algorithms share one key.
+    const CacheStats& pool = warmed.stats.checkpoints;
+    const std::uint64_t forks = pool.hits + pool.misses;
+    if (pool.hits == 0) {
         std::printf("CHECKPOINT POOL UNUSED: hits=%llu forks=%llu on a "
                     "repeat-heavy mix\n",
-                    static_cast<unsigned long long>(
-                        warmed.stats.checkpoints.hits),
-                    static_cast<unsigned long long>(
-                        warmed.stats.checkpoints.forks));
+                    static_cast<unsigned long long>(pool.hits),
+                    static_cast<unsigned long long>(forks));
         hot_failed = true;
     }
     const double hot_speedup = cold.jobs_per_sec > 0
                                    ? warmed.jobs_per_sec /
                                          cold.jobs_per_sec
                                    : 0.0;
-    Table hot_table({"pool", "jobs", "wall s", "jobs/s", "memo hits"});
+    Table hot_table({"pool+cache", "jobs", "wall s", "jobs/s",
+                     "result-cache hits"});
     hot_table.addRow({"off", std::to_string(hot_jobs.size()),
                       fmt(cold.wall_seconds, 3),
                       fmt(cold.jobs_per_sec, 1), "-"});
     hot_table.addRow(
         {"on", std::to_string(hot_jobs.size()),
          fmt(warmed.wall_seconds, 3), fmt(warmed.jobs_per_sec, 1),
-         std::to_string(warmed.stats.checkpoints.memo_hits)});
+         std::to_string(warmed.stats.result_cache.hits)});
     hot_table.print();
     std::printf("\nspeedup: %.1fx (%s); identical checksums: %s\n",
                 hot_speedup,
@@ -817,13 +816,12 @@ main(int argc, char** argv)
         .set("warm_jobs_per_sec", warmed.jobs_per_sec)
         .set("speedup", hot_speedup)
         .set("checksums_match", !hot_failed)
-        .set("checkpoint_hits", warmed.stats.checkpoints.hits)
-        .set("checkpoint_misses", warmed.stats.checkpoints.misses)
-        .set("checkpoint_forks", warmed.stats.checkpoints.forks)
-        .set("memo_hits", warmed.stats.checkpoints.memo_hits)
-        .set("memo_misses", warmed.stats.checkpoints.memo_misses)
-        .set("checkpoint_resident_bytes",
-             warmed.stats.checkpoints.resident_bytes);
+        .set("checkpoint_hits", pool.hits)
+        .set("checkpoint_misses", pool.misses)
+        .set("checkpoint_forks", forks)
+        .set("checkpoint_bytes", pool.bytes)
+        .set("result_cache_hits", warmed.stats.result_cache.hits)
+        .set("result_cache_misses", warmed.stats.result_cache.misses);
 
     // --- TCP result-cache sweep -------------------------------------
     const std::string tcp_mode_label =
@@ -1138,7 +1136,10 @@ main(int argc, char** argv)
     levels_json += "]";
 
     JsonReport top;
+    // The jobs/s ratios above depend on how many cores the host has.
     top.set("bench", std::string("serve"))
+        .set("host_cpus", static_cast<std::uint64_t>(
+                              std::thread::hardware_concurrency()))
         .set("smoke", smoke)
         .set("lost_jobs", lost)
         .set("levels", JsonReport::Raw{levels_json})

@@ -115,52 +115,6 @@ configFingerprint(const AccelConfig& cfg)
     return f.h;
 }
 
-std::optional<SessionResult>
-SessionMemo::lookup(const std::string& key) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = results_.find(key);
-    if (it == results_.end()) {
-        ++misses_;
-        return std::nullopt;
-    }
-    ++hits_;
-    return it->second;
-}
-
-void
-SessionMemo::store(const std::string& key, const SessionResult& result)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = results_.emplace(key, result);
-    (void)it;
-    if (inserted)
-        bytes_ += key.size() + result.values.size() * sizeof(double) +
-                  result.run.raw_values.size() * sizeof(std::uint32_t) +
-                  sizeof(SessionResult);
-}
-
-std::size_t
-SessionMemo::bytes() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return bytes_;
-}
-
-std::uint64_t
-SessionMemo::hits() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return hits_;
-}
-
-std::uint64_t
-SessionMemo::misses() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return misses_;
-}
-
 struct SessionCheckpoint::State
 {
     std::uint32_t version = kFormatVersion;
@@ -174,7 +128,6 @@ struct SessionCheckpoint::State
     std::shared_ptr<const CooGraph> weighted;
     std::shared_ptr<const PartitionedGraph> pg_plain;
     std::shared_ptr<const PartitionedGraph> pg_weighted;
-    std::shared_ptr<SessionMemo> memo;
 };
 
 SessionCheckpoint
@@ -183,8 +136,6 @@ SessionCheckpoint::capture(Session& session, bool warm_weighted)
     session.ensurePlain();
     if (warm_weighted)
         session.ensureWeighted();
-    if (!session.memo_)
-        session.memo_ = std::make_shared<SessionMemo>();
 
     auto st = std::make_shared<State>();
     st->config = session.config_;
@@ -197,7 +148,6 @@ SessionCheckpoint::capture(Session& session, bool warm_weighted)
     st->weighted = session.weighted_;
     st->pg_plain = session.pg_plain_;
     st->pg_weighted = session.pg_weighted_;
-    st->memo = session.memo_;
 
     SessionCheckpoint cp;
     cp.state_ = std::move(st);
@@ -223,7 +173,6 @@ SessionCheckpoint::restore() const
     s.weighted_ = state_->weighted;
     s.pg_plain_ = state_->pg_plain;
     s.pg_weighted_ = state_->pg_weighted;
-    s.memo_ = state_->memo;
     return s;
 }
 
@@ -248,8 +197,6 @@ SessionCheckpoint::residentBytes() const
         total += graphBytes(*state_->weighted);
     if (state_->to_internal)
         total += state_->to_internal->size() * sizeof(NodeId) * 2;
-    if (state_->memo)
-        total += state_->memo->bytes();
     return total;
 }
 
@@ -259,11 +206,10 @@ SessionCheckpoint::fingerprint() const
     return state_ ? state_->fingerprint : 0;
 }
 
-const std::shared_ptr<SessionMemo>&
-SessionCheckpoint::memo() const
+bool
+SessionCheckpoint::hasWeighted() const
 {
-    static const std::shared_ptr<SessionMemo> kNull;
-    return state_ ? state_->memo : kNull;
+    return state_ && state_->pg_weighted;
 }
 
 std::string

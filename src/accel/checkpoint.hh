@@ -5,16 +5,15 @@
  * A SessionCheckpoint is a versioned snapshot of everything a warmed
  * Session carries *between* runs: the preprocessed graph views, their
  * partitions, the id-translation tables, the synthetic-weight seed and
- * the bound configuration. Because the simulator is deterministic, that
- * is the complete state — all microarchitectural state (MOMS/MSHR
- * contents, wake calendar, in-flight queues) is reconstructed exactly
- * by re-running, which is also what makes the attached result memo
- * sound: two runs of the same (dataset, prep, config, algo, args) are
- * bit-identical, so the first run's SessionResult can be replayed from
- * memory. restore()/fork() is copy-on-restore: the forked Session
- * shares every immutable view by shared_ptr and owns only its lazily
- * materialized remainder, so a fork costs O(1) regardless of graph
- * size.
+ * the bound configuration. Because the simulator is deterministic,
+ * those inputs are the complete state — all microarchitectural state
+ * (MOMS/MSHR contents, wake calendar, in-flight queues) is
+ * reconstructed exactly by re-running, so every fork simulates a
+ * bit-identical result. A checkpoint holds no results: repeat jobs are
+ * answered by the serving layer's ResultCache. restore()/fork() is
+ * copy-on-restore: the forked Session shares every immutable view by
+ * shared_ptr and owns only its lazily materialized remainder, so a
+ * fork costs O(1) regardless of graph size.
  *
  * ReplayDescriptor is the restore side of watchdog/diagnostic dumps: a
  * one-line, versioned recipe (dataset tag, preprocessing, config
@@ -28,9 +27,7 @@
 #define GMOMS_ACCEL_CHECKPOINT_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 
@@ -50,45 +47,17 @@ namespace gmoms
  */
 std::uint64_t configFingerprint(const AccelConfig& cfg);
 
-/**
- * Memoized results of one checkpointed (dataset, prep, config)
- * binding, shared by every Session forked from the same checkpoint.
- * Keys are algorithm descriptors ("PR:10", "SSSP:s4:i1000:w97", ...);
- * only successfully completed runs are stored (a CheckError aborts
- * before the store). Thread-safe: forks run concurrently in
- * GraphService workers.
- */
-class SessionMemo
-{
-  public:
-    std::optional<SessionResult> lookup(const std::string& key) const;
-    void store(const std::string& key, const SessionResult& result);
-
-    /** Approximate resident bytes of stored results. */
-    std::size_t bytes() const;
-    std::uint64_t hits() const;
-    std::uint64_t misses() const;
-
-  private:
-    mutable std::mutex mu_;
-    std::map<std::string, SessionResult> results_;
-    std::size_t bytes_ = 0;
-    mutable std::uint64_t hits_ = 0;
-    mutable std::uint64_t misses_ = 0;
-};
-
 class SessionCheckpoint
 {
   public:
     /** Snapshot layout version; bumped on any semantic change to what
      *  a checkpoint carries. restore() refuses other versions. */
-    static constexpr std::uint32_t kFormatVersion = 1;
+    static constexpr std::uint32_t kFormatVersion = 2;
 
     /**
      * Capture @p session. Warms the plain view (and, with
      * @p warm_weighted, the weighted one) so every fork starts fully
-     * preprocessed, and attaches a shared result memo to @p session
-     * so its later runs populate the cache too.
+     * preprocessed.
      */
     static SessionCheckpoint capture(Session& session,
                                      bool warm_weighted = false);
@@ -96,13 +65,14 @@ class SessionCheckpoint
     /** Copy-on-restore fork: a Session sharing all immutable state. */
     Session restore() const;
 
-    /** Approximate resident bytes (graph views + partitions + memo). */
+    /** Approximate resident bytes (graph views + partitions). */
     std::size_t residentBytes() const;
+
+    /** Whether the weighted (SSSP) view is warm. */
+    bool hasWeighted() const;
 
     /** Fingerprint of the captured config (pool key ingredient). */
     std::uint64_t fingerprint() const;
-
-    const std::shared_ptr<SessionMemo>& memo() const;
 
   private:
     SessionCheckpoint() = default;

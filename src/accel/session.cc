@@ -2,7 +2,6 @@
 
 #include <numeric>
 
-#include "src/accel/checkpoint.hh"
 #include "src/cluster/cluster_engine.hh"
 #include "src/graph/generator.hh"
 #include "src/sim/log.hh"
@@ -134,18 +133,8 @@ Session::originalId(NodeId internal) const
 
 SessionResult
 Session::runSpec(const AlgoSpec& spec, const CooGraph& g,
-                 const PartitionedGraph& pg,
-                 const std::string& memo_key)
+                 const PartitionedGraph& pg)
 {
-    // Checkpoint-backed sessions replay memoized results: the
-    // simulator is deterministic, so an identical (dataset, prep,
-    // config, algo, args) run is bit-identical — values, counters and
-    // checksums included. Failed runs never reach the store (a
-    // CheckError propagates out of accel.run()).
-    if (memo_) {
-        if (auto hit = memo_->lookup(memo_key))
-            return *hit;
-    }
     SessionResult out;
     if (config_.cluster.enabled()) {
         // Multi-board path: the timed plane runs one engine with a
@@ -174,8 +163,6 @@ Session::runSpec(const AlgoSpec& spec, const CooGraph& g,
     out.values.resize(g.numNodes());
     for (NodeId i = 0; i < g.numNodes(); ++i)
         out.values[i] = spec.finalValue(out.run.raw_values[i], i);
-    if (memo_)
-        memo_->store(memo_key, out);
     return out;
 }
 
@@ -184,28 +171,23 @@ Session::pageRank(std::uint32_t iterations)
 {
     ensurePlain();
     return runSpec(AlgoSpec::pageRank(*plain_, iterations), *plain_,
-                   *pg_plain_, "PR:i" + std::to_string(iterations));
+                   *pg_plain_);
 }
 
 SessionResult
 Session::scc(std::uint32_t max_iterations)
 {
     ensurePlain();
-    return runSpec(
-        AlgoSpec::scc(plain_->numNodes(), max_iterations), *plain_,
-        *pg_plain_, "SCC:i" + std::to_string(max_iterations));
+    return runSpec(AlgoSpec::scc(plain_->numNodes(), max_iterations),
+                   *plain_, *pg_plain_);
 }
 
 SessionResult
 Session::sssp(NodeId source, std::uint32_t max_iterations)
 {
     ensureWeighted();
-    return runSpec(
-        AlgoSpec::sssp(internalId(source), max_iterations), *weighted_,
-        *pg_weighted_,
-        "SSSP:s" + std::to_string(source) + ":i" +
-            std::to_string(max_iterations) + ":w" +
-            std::to_string(weight_seed_));
+    return runSpec(AlgoSpec::sssp(internalId(source), max_iterations),
+                   *weighted_, *pg_weighted_);
 }
 
 SessionResult
@@ -213,9 +195,7 @@ Session::bfs(NodeId source, std::uint32_t max_iterations)
 {
     ensurePlain();
     return runSpec(AlgoSpec::bfs(internalId(source), max_iterations),
-                   *plain_, *pg_plain_,
-                   "BFS:s" + std::to_string(source) + ":i" +
-                       std::to_string(max_iterations));
+                   *plain_, *pg_plain_);
 }
 
 SessionBuilder&

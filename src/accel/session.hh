@@ -30,7 +30,6 @@
 namespace gmoms
 {
 
-class SessionMemo;
 class SessionCheckpoint;
 struct ClusterReport;
 
@@ -109,8 +108,7 @@ class Session
     /** Set the replay recipe prepended to this session's diagnostic
      *  dumps (CheckConfig::replay_context). Result-neutral — the
      *  context only appears in failure dumps — so checkpoint-forked
-     *  sessions may each carry their own job's descriptor while
-     *  sharing one memo. */
+     *  sessions may each carry their own job's descriptor. */
     void
     setReplayContext(std::string ctx)
     {
@@ -121,8 +119,7 @@ class Session
     Session() = default;  //!< checkpoint restore only (see fork)
 
     SessionResult runSpec(const AlgoSpec& spec, const CooGraph& g,
-                          const PartitionedGraph& pg,
-                          const std::string& memo_key);
+                          const PartitionedGraph& pg);
     /** Materialize the plain view + its partition on first use. */
     void ensurePlain() const;
     /** Materialize the weighted view + its partition on first use. */
@@ -140,10 +137,6 @@ class Session
     mutable std::shared_ptr<const CooGraph> weighted_;
     mutable std::shared_ptr<const PartitionedGraph> pg_plain_;
     mutable std::shared_ptr<const PartitionedGraph> pg_weighted_;
-
-    /** Result memo shared with the checkpoint this session was forked
-     *  from (or captured into); null on a plain cold session. */
-    std::shared_ptr<SessionMemo> memo_;
 
     friend class SessionCheckpoint;
 };

@@ -1,6 +1,7 @@
 #include "src/serve/checkpoint_pool.hh"
 
 #include <sstream>
+#include <utility>
 
 #include "src/accel/session.hh"
 
@@ -31,79 +32,33 @@ CheckpointPool::acquire(const std::string& dataset_tag,
         poolKey(dataset_tag, prep, configFingerprint(cfg));
 
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    if (it == entries_.end()) {
-        ++stats_.misses;
-        Session cold =
-            SessionBuilder().dataset(dataset).config(cfg).build();
-        SessionCheckpoint cp =
-            SessionCheckpoint::capture(cold, warm_weighted);
-        it = entries_.emplace(key, Entry{std::move(cp), 0}).first;
-    } else {
-        ++stats_.hits;
-        // A hit may still need the weighted warm-up (first SSSP on a
-        // key first used by a plain algorithm): re-capture, sharing
-        // everything already built.
-        if (warm_weighted) {
-            Session warm = it->second.checkpoint.restore();
-            it->second.checkpoint =
-                SessionCheckpoint::capture(warm, true);
-        }
+    SessionCheckpoint* cp = pool_.find(key);
+    if (cp)
+        ++hits_;
+    else
+        ++misses_;
+    // Build on a miss; on a hit, re-capture only to add a weighted view
+    // the checkpoint lacks (the first SSSP on a key first used by a
+    // plain algorithm), sharing everything already built.
+    if (!cp || (warm_weighted && !cp->hasWeighted())) {
+        Session warm =
+            cp ? cp->restore()
+               : SessionBuilder().dataset(dataset).config(cfg).build();
+        SessionCheckpoint fresh =
+            SessionCheckpoint::capture(warm, warm_weighted);
+        const std::uint64_t bytes = fresh.residentBytes();
+        cp = &pool_.put(key, std::move(fresh), bytes);
     }
-    it->second.last_use = ++use_clock_;
-    ++stats_.forks;
-    Session forked = it->second.checkpoint.restore();
-    // Resident bytes grow over time (memo accretes results), so the
-    // budget is re-audited on every acquire, not only on insertion.
-    evictOverBudgetLocked(key);
-    return forked;
+    return cp->restore();
 }
 
-void
-CheckpointPool::evictOverBudgetLocked(const std::string& keep_key)
-{
-    if (budget_ == 0)
-        return;
-    std::uint64_t total = 0;
-    for (const auto& [key, e] : entries_)
-        total += e.checkpoint.residentBytes();
-    while (total > budget_ && entries_.size() > 1) {
-        auto victim = entries_.end();
-        for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-            if (it->first == keep_key)
-                continue;
-            if (victim == entries_.end() ||
-                it->second.last_use < victim->second.last_use)
-                victim = it;
-        }
-        if (victim == entries_.end())
-            break;
-        // Memo counters live inside the evicted entry: fold them into
-        // the baseline so pool-wide stats stay monotonic.
-        if (const auto& memo = victim->second.checkpoint.memo()) {
-            stats_.memo_hits += memo->hits();
-            stats_.memo_misses += memo->misses();
-        }
-        total -= victim->second.checkpoint.residentBytes();
-        entries_.erase(victim);
-        ++stats_.evictions;
-    }
-}
-
-CheckpointPool::Stats
+CacheStats
 CheckpointPool::stats() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    Stats s = stats_;
-    s.entries = entries_.size();
-    s.resident_bytes = 0;
-    for (const auto& [key, e] : entries_) {
-        s.resident_bytes += e.checkpoint.residentBytes();
-        if (const auto& memo = e.checkpoint.memo()) {
-            s.memo_hits += memo->hits();
-            s.memo_misses += memo->misses();
-        }
-    }
+    CacheStats s = pool_.stats();
+    s.hits = hits_;
+    s.misses = misses_;
     return s;
 }
 

@@ -6,23 +6,22 @@
  * GraphService acquires a forked Session per attempt instead of
  * cold-building one: the first job on a key pays the partition cost
  * and populates the checkpoint (a miss), every later job forks it in
- * O(1) (a hit + a fork). Because each checkpoint also carries a shared
- * result memo (see SessionMemo), a *repeat* job — same algorithm and
- * arguments on the same key — skips the simulation entirely and
- * replays the memoized, bit-identical SessionResult. Eviction is LRU
- * by approximate resident bytes, never evicting the entry just
- * touched.
+ * O(1) (a hit). Every acquire forks, so forks == hits + misses.
+ * Checkpoints hold inputs only — a forked session simulates; repeat
+ * jobs are answered before they get here, by the ResultCache. An
+ * entry's bytes are its residentBytes() when it is put, which changes
+ * only when the weighted view is added (and that re-puts the entry).
  */
 
 #ifndef GMOMS_SERVE_CHECKPOINT_POOL_HH
 #define GMOMS_SERVE_CHECKPOINT_POOL_HH
 
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 
 #include "src/accel/checkpoint.hh"
+#include "src/serve/byte_budget_lru.hh"
 #include "src/serve/dataset_cache.hh"
 
 namespace gmoms::serve
@@ -31,21 +30,9 @@ namespace gmoms::serve
 class CheckpointPool
 {
   public:
-    struct Stats
-    {
-        std::uint64_t hits = 0;       //!< acquire found a checkpoint
-        std::uint64_t misses = 0;     //!< acquire had to build one
-        std::uint64_t forks = 0;      //!< sessions forked (== acquires)
-        std::uint64_t evictions = 0;  //!< entries dropped by budget
-        std::uint64_t memo_hits = 0;    //!< runs served from the memo
-        std::uint64_t memo_misses = 0;  //!< runs actually simulated
-        std::uint64_t resident_bytes = 0;  //!< approximate, at query
-        std::uint64_t entries = 0;
-    };
-
     /** @param budget_bytes Resident-byte ceiling; 0 = unbounded. */
     explicit CheckpointPool(std::uint64_t budget_bytes)
-        : budget_(budget_bytes)
+        : pool_(budget_bytes)
     {
     }
 
@@ -54,30 +41,23 @@ class CheckpointPool
      * building and pooling the checkpoint on first use. @p dataset is
      * the preprocessed graph from the DatasetCache (the session adds
      * no further preprocessing). @p warm_weighted additionally warms
-     * the weighted partition on the cold build (SSSP jobs). Thread-
-     * safe; the cold build holds the pool lock (it is two orders of
-     * magnitude cheaper than the simulation that follows).
+     * the weighted partition (SSSP jobs), re-capturing a pooled
+     * checkpoint that lacks it. Thread-safe; the cold build holds the
+     * pool lock (it is two orders of magnitude cheaper than the
+     * simulation that follows).
      */
     Session acquire(const std::string& dataset_tag,
                     const std::string& prep, const DatasetPtr& dataset,
                     const AccelConfig& cfg, bool warm_weighted);
 
-    Stats stats() const;
+    /** hits: acquire found a checkpoint; misses: it built one. */
+    CacheStats stats() const;
 
   private:
-    struct Entry
-    {
-        SessionCheckpoint checkpoint;
-        std::uint64_t last_use = 0;
-    };
-
-    void evictOverBudgetLocked(const std::string& keep_key);
-
     mutable std::mutex mu_;
-    std::map<std::string, Entry> entries_;
-    const std::uint64_t budget_;
-    std::uint64_t use_clock_ = 0;
-    Stats stats_;
+    ByteBudgetLru<std::string, SessionCheckpoint> pool_;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
 };
 
 } // namespace gmoms::serve

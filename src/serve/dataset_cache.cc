@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <utility>
-#include <vector>
 
 #include "src/accel/accel_config.hh"
 #include "src/graph/datasets.hh"
@@ -20,7 +19,7 @@ datasetBytes(const CooGraph& g)
 }
 
 DatasetCache::DatasetCache(std::uint64_t budget_bytes)
-    : budget_(budget_bytes)
+    : built_(budget_bytes)
 {
 }
 
@@ -34,24 +33,24 @@ DatasetCache::get(const std::string& tag, Preprocessing prep,
     prep = basePreprocessing(prep);
     const Key key{tag, static_cast<int>(prep), nd_hint};
     std::promise<DatasetPtr> build;
-    std::shared_future<DatasetPtr> ready;
-    bool builder = false;
+    std::shared_future<DatasetPtr> in_flight;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        auto [it, inserted] = cache_.try_emplace(key);
+        if (const DatasetPtr* done = built_.find(key)) {
+            ++hits_;
+            return *done;
+        }
+        const auto [it, inserted] = building_.try_emplace(key);
         if (inserted) {
-            it->second.ready = build.get_future().share();
             ++misses_;
-            builder = true;
+            it->second = build.get_future().share();
         } else {
             ++hits_;
+            in_flight = it->second;
         }
-        it->second.last_use = ++tick_;
-        ready = it->second.ready;
     }
-
-    if (!builder)
-        return ready.get();
+    if (in_flight.valid())
+        return in_flight.get();
 
     try {
         const DatasetProfile& profile = datasetByTag(tag);
@@ -66,61 +65,30 @@ DatasetCache::get(const std::string& tag, Preprocessing prep,
             std::make_shared<const CooGraph>(std::move(out));
         {
             std::lock_guard<std::mutex> lock(mu_);
-            auto it = cache_.find(key);
-            // The entry can only have left the map via a failed build,
-            // and this build is the only one for the key — it is there.
-            it->second.bytes = datasetBytes(*built);
-            it->second.building = false;
-            bytes_ += it->second.bytes;
-            evictLocked(key);
+            building_.erase(key);
+            built_.put(key, built, datasetBytes(*built));
         }
         build.set_value(built);
-        return ready.get();
+        return built;
     } catch (...) {
-        // Drop the failed key so a later call retries the build;
+        // Forget the failed key so a later call retries the build;
         // concurrent waiters still see the exception via the future.
         {
             std::lock_guard<std::mutex> lock(mu_);
-            cache_.erase(key);
+            building_.erase(key);
         }
         build.set_exception(std::current_exception());
-        return ready.get();  // rethrows
+        throw;
     }
 }
 
-void
-DatasetCache::evictLocked(const Key& keep)
-{
-    if (budget_ == 0)
-        return;
-    while (bytes_ > budget_) {
-        auto victim = cache_.end();
-        for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-            if (it->second.building || it->first == keep)
-                continue;
-            if (victim == cache_.end() ||
-                it->second.last_use < victim->second.last_use)
-                victim = it;
-        }
-        if (victim == cache_.end())
-            return;  // nothing evictable: stay over budget
-        bytes_ -= victim->second.bytes;
-        ++evictions_;
-        cache_.erase(victim);
-    }
-}
-
-DatasetCache::Stats
+CacheStats
 DatasetCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    Stats s;
+    CacheStats s = built_.stats();
     s.hits = hits_;
     s.misses = misses_;
-    s.evictions = evictions_;
-    s.entries = cache_.size();
-    s.bytes = bytes_;
-    s.budget_bytes = budget_;
     return s;
 }
 

@@ -14,8 +14,11 @@
  *    every concurrent session/sweep worker references one build.
  *  - One build per key: the first caller of a missing key builds, every
  *    concurrent caller of the same key waits on that one build (the
- *    PR-2 once-per-key contract, preserved).
- *  - Eviction is LRU over *completed* entries and only drops the
+ *    once-per-key contract). Waiters count as hits; misses count
+ *    builds started. A failed build is forgotten, so a later call
+ *    retries it.
+ *  - Completed graphs live in a ByteBudgetLru; in-flight builds live
+ *    beside it and are never evictable. Eviction only drops the
  *    cache's reference: jobs still holding the shared_ptr keep their
  *    graph alive, so an eviction can never invalidate a running job.
  *  - A rebuilt entry is bit-identical to the evicted one (dataset
@@ -41,6 +44,7 @@
 
 #include "src/graph/coo.hh"
 #include "src/graph/reorder.hh"
+#include "src/serve/byte_budget_lru.hh"
 
 namespace gmoms::serve
 {
@@ -65,19 +69,8 @@ class DatasetCache
                    Preprocessing prep = Preprocessing::DbgHash,
                    std::uint32_t nd_hint = 0);
 
-    struct Stats
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;      //!< builds started
-        std::uint64_t evictions = 0;
-        std::uint64_t entries = 0;     //!< currently cached keys
-        std::uint64_t bytes = 0;       //!< sum of completed entries
-        std::uint64_t budget_bytes = 0;
-    };
-
-    Stats stats() const;
-
-    std::uint64_t budgetBytes() const { return budget_; }
+    /** Entries and bytes count completed graphs only. */
+    CacheStats stats() const;
 
     /**
      * Process-wide instance backing bench_common::loadDataset. Budget
@@ -88,29 +81,13 @@ class DatasetCache
     static DatasetCache& process();
 
   private:
-    struct Entry
-    {
-        std::shared_future<DatasetPtr> ready;
-        std::uint64_t bytes = 0;   //!< 0 while still building
-        std::uint64_t last_use = 0;
-        bool building = true;
-    };
-
     using Key = std::tuple<std::string, int, std::uint32_t>;
 
-    /** Drop LRU completed entries until within budget; never touches
-     *  in-flight builds or @p keep. Caller holds mu_. */
-    void evictLocked(const Key& keep);
-
-    const std::uint64_t budget_;
-
     mutable std::mutex mu_;
-    std::map<Key, Entry> cache_;
-    std::uint64_t bytes_ = 0;
-    std::uint64_t tick_ = 0;
+    ByteBudgetLru<Key, DatasetPtr> built_;
+    std::map<Key, std::shared_future<DatasetPtr>> building_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
-    std::uint64_t evictions_ = 0;
 };
 
 } // namespace gmoms::serve

@@ -1,5 +1,7 @@
 #include "src/serve/result_cache.hh"
 
+#include <utility>
+
 #include "src/graph/reorder.hh"
 
 namespace gmoms::serve
@@ -20,67 +22,45 @@ ResultCache::keyFor(const JobSpec& spec, std::uint64_t fingerprint)
            std::to_string(iters) + "|f" + std::to_string(fingerprint);
 }
 
-std::uint64_t
-ResultCache::slotBytes(const std::string& key, const Entry& e)
+ResultCache::Entry
+ResultCache::Entry::fromRecord(const JobRecord& rec)
 {
-    return key.size() + e.replay.size() + sizeof(Entry) +
-           sizeof(Slot) - sizeof(Entry);
-}
-
-std::optional<ResultCache::Entry>
-ResultCache::get(const std::string& key)
-{
-    const auto it = entries_.find(key);
-    if (it == entries_.end()) {
-        ++stats_.misses;
-        return std::nullopt;
-    }
-    ++stats_.hits;
-    it->second.last_use = ++use_clock_;
-    return it->second.entry;
+    Entry e;
+    e.cycles = rec.cycles;
+    e.iterations = rec.iterations;
+    e.edges_processed = rec.edges_processed;
+    e.dram_bytes_read = rec.dram_bytes_read;
+    e.dram_bytes_written = rec.dram_bytes_written;
+    e.moms_hit_rate = rec.moms_hit_rate;
+    e.gteps = rec.gteps;
+    e.values_checksum = rec.values_checksum;
+    e.replay = rec.replay;
+    return e;
 }
 
 void
-ResultCache::put(const std::string& key, const Entry& entry)
+ResultCache::Entry::fill(JobRecord& rec) const
 {
-    Slot& slot = entries_[key];
-    bytes_ -= slot.bytes;  // 0 for a fresh slot
-    slot.entry = entry;
-    slot.bytes = slotBytes(key, entry);
-    slot.last_use = ++use_clock_;
-    bytes_ += slot.bytes;
-    ++stats_.insertions;
-    evictOverBudget(key);
+    rec.state = JobState::Completed;
+    rec.from_cache = true;
+    rec.cycles = cycles;
+    rec.iterations = iterations;
+    rec.edges_processed = edges_processed;
+    rec.dram_bytes_read = dram_bytes_read;
+    rec.dram_bytes_written = dram_bytes_written;
+    rec.moms_hit_rate = moms_hit_rate;
+    rec.gteps = gteps;
+    rec.values_checksum = values_checksum;
+    rec.replay = replay;
 }
 
 void
-ResultCache::evictOverBudget(const std::string& keep_key)
+ResultCache::put(const std::string& key, Entry entry)
 {
-    while (budget_ > 0 && bytes_ > budget_ && entries_.size() > 1) {
-        auto victim = entries_.end();
-        for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-            if (it->first == keep_key)
-                continue;
-            if (victim == entries_.end() ||
-                it->second.last_use < victim->second.last_use)
-                victim = it;
-        }
-        if (victim == entries_.end())
-            break;
-        bytes_ -= victim->second.bytes;
-        entries_.erase(victim);
-        ++stats_.evictions;
-    }
-}
-
-ResultCache::Stats
-ResultCache::stats() const
-{
-    Stats s = stats_;
-    s.entries = entries_.size();
-    s.bytes = bytes_;
-    s.budget_bytes = budget_;
-    return s;
+    // The key is stored twice (recency list and index).
+    const std::uint64_t bytes =
+        2 * key.size() + entry.replay.size() + sizeof(Entry);
+    lru_.put(key, std::move(entry), bytes);
 }
 
 } // namespace gmoms::serve

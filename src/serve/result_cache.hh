@@ -5,7 +5,8 @@
  * same source), and every simulation here is deterministic, so a repeat
  * query need not simulate at all — the same way MOMS converts repeat
  * misses into merged subentries in the source paper, the result cache
- * converts repeat jobs into O(1) lookups.
+ * converts repeat jobs into O(1) lookups. It is the service's only
+ * result memo.
  *
  * Key: `dataset|prep|algo|source|iterations|configFingerprint` — every
  * input that can change the result summary. configFingerprint()
@@ -21,14 +22,16 @@
  *  - only JobState::Completed results are inserted — a Degraded run
  *    executed the fallback config, not the keyed one, and a Failed run
  *    has no result;
- *  - lookups happen at submit time, so a repeat only hits once its
- *    first instance has *finished* (batch-mode bursts of the same spec
- *    all simulate; live repeat traffic hits).
+ *  - the service looks a job up at submit and again at dispatch, so a
+ *    repeat queued behind its first instance is answered once that
+ *    instance has finished;
+ *  - the service counts the hits and misses: a job counts one hit
+ *    wherever it is answered, and one miss only when it is dispatched
+ *    to simulate.
  *
- * Byte-budgeted LRU like the DatasetCache: entries are tiny (a key
- * string + a fixed summary), the budget exists so a long-lived service
- * with unbounded key cardinality cannot grow without bound. The entry
- * just inserted or hit is never the next eviction victim. Thread-compat
+ * A ByteBudgetLru over the entries: they are tiny (a key string + a
+ * fixed summary), the budget exists so a long-lived service with
+ * unbounded key cardinality cannot grow without bound. Thread-compat
  * like AdmissionQueue: externally synchronized by the service mutex.
  */
 
@@ -36,10 +39,9 @@
 #define GMOMS_SERVE_RESULT_CACHE_HH
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <string>
 
+#include "src/serve/byte_budget_lru.hh"
 #include "src/serve/job.hh"
 
 namespace gmoms::serve
@@ -61,11 +63,16 @@ class ResultCache
         double gteps = 0;
         std::uint64_t values_checksum = 0;
         std::string replay;
+
+        /** The summary of a Completed @p rec. */
+        static Entry fromRecord(const JobRecord& rec);
+        /** Complete @p rec as a cache hit: Completed, from_cache, and
+         *  this summary and replay descriptor. */
+        void fill(JobRecord& rec) const;
     };
 
     /** @param budget_bytes byte ceiling; 0 = unbounded. */
-    explicit ResultCache(std::uint64_t budget_bytes)
-        : budget_(budget_bytes)
+    explicit ResultCache(std::uint64_t budget_bytes) : lru_(budget_bytes)
     {
     }
 
@@ -75,54 +82,19 @@ class ResultCache
     static std::string keyFor(const JobSpec& spec,
                               std::uint64_t fingerprint);
 
-    /** Lookup + LRU touch. */
-    std::optional<Entry> get(const std::string& key);
+    /** Lookup + LRU touch; null on a miss. */
+    const Entry* find(const std::string& key) { return lru_.find(key); }
 
-    /** Insert (or refresh) @p key, then evict LRU entries over budget
-     *  (never the one just inserted). Deterministic repeat runs always
-     *  produce the same entry, so refreshing is idempotent. */
-    void put(const std::string& key, const Entry& entry);
+    /** Insert (or refresh) @p key at its byte estimate. Deterministic
+     *  repeat runs always produce the same entry, so refreshing is
+     *  idempotent. */
+    void put(const std::string& key, Entry entry);
 
-    struct Stats
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t insertions = 0;
-        std::uint64_t evictions = 0;
-        std::uint64_t entries = 0;
-        std::uint64_t bytes = 0;
-        std::uint64_t budget_bytes = 0;
-
-        double
-        hitRate() const
-        {
-            const std::uint64_t total = hits + misses;
-            return total > 0
-                       ? static_cast<double>(hits) /
-                             static_cast<double>(total)
-                       : 0.0;
-        }
-    };
-
-    Stats stats() const;
+    /** Everything but hits and misses, which the service counts. */
+    CacheStats stats() const { return lru_.stats(); }
 
   private:
-    struct Slot
-    {
-        Entry entry;
-        std::uint64_t bytes = 0;
-        std::uint64_t last_use = 0;
-    };
-
-    static std::uint64_t slotBytes(const std::string& key,
-                                   const Entry& e);
-    void evictOverBudget(const std::string& keep_key);
-
-    const std::uint64_t budget_;
-    std::map<std::string, Slot> entries_;
-    std::uint64_t bytes_ = 0;
-    std::uint64_t use_clock_ = 0;
-    Stats stats_;
+    ByteBudgetLru<std::string, Entry> lru_;
 };
 
 } // namespace gmoms::serve

@@ -52,6 +52,20 @@ replayFor(const JobSpec& spec, const AccelConfig& cfg,
     return rd.serialize();
 }
 
+/** One cache's block: @p prefix + `_{hits,misses,insertions,
+ *  evictions,entries,bytes,hit_rate}`. */
+void
+appendCache(JsonReport& r, const std::string& prefix, const CacheStats& s)
+{
+    r.set(prefix + "_hits", s.hits)
+        .set(prefix + "_misses", s.misses)
+        .set(prefix + "_insertions", s.insertions)
+        .set(prefix + "_evictions", s.evictions)
+        .set(prefix + "_entries", s.entries)
+        .set(prefix + "_bytes", s.bytes)
+        .set(prefix + "_hit_rate", s.hitRate());
+}
+
 } // namespace
 
 JsonReport
@@ -76,28 +90,14 @@ ServiceStats::toJson() const
     appendLatency(r, "prep", prep);
     appendLatency(r, "sim", sim);
     appendLatency(r, "total", total);
-    r.set("cache_hits", cache.hits)
-        .set("cache_misses", cache.misses)
-        .set("cache_evictions", cache.evictions)
-        .set("cache_bytes", cache.bytes);
-    r.set("result_cache_hits", result_cache.hits)
-        .set("result_cache_misses", result_cache.misses)
-        .set("result_cache_insertions", result_cache.insertions)
-        .set("result_cache_evictions", result_cache.evictions)
-        .set("result_cache_entries", result_cache.entries)
-        .set("result_cache_bytes", result_cache.bytes)
-        .set("result_cache_hit_rate", result_cache.hitRate());
+    appendCache(r, "cache", cache);
+    appendCache(r, "result_cache", result_cache);
     r.set("rate_allowed", rate.allowed)
         .set("rate_limited_total", rate.limited)
         .set("rate_tenants", rate.tenants);
-    r.set("checkpoint_hits", checkpoints.hits)
-        .set("checkpoint_misses", checkpoints.misses)
-        .set("checkpoint_forks", checkpoints.forks)
-        .set("checkpoint_evictions", checkpoints.evictions)
-        .set("checkpoint_entries", checkpoints.entries)
-        .set("checkpoint_resident_bytes", checkpoints.resident_bytes)
-        .set("memo_hits", checkpoints.memo_hits)
-        .set("memo_misses", checkpoints.memo_misses);
+    appendCache(r, "checkpoint", checkpoints);
+    // Every acquire forks a session.
+    r.set("checkpoint_forks", checkpoints.hits + checkpoints.misses);
     return r;
 }
 
@@ -169,13 +169,14 @@ GraphService::submit(JobSpec spec)
 
     // Deterministic result cache: a repeat of an already-*Completed*
     // query returns its pinned result summary in O(1) — terminal at
-    // submission, no admission, no simulation.
+    // submission, no admission, no simulation. A miss is not counted
+    // yet: the job may still hit at dispatch.
     std::string result_key;
     if (reasons.empty() && result_cache_) {
         result_key =
             ResultCache::keyFor(spec, configFingerprint(valid.config));
-        if (const std::optional<ResultCache::Entry> hit =
-                result_cache_->get(result_key)) {
+        if (const ResultCache::Entry* hit =
+                result_cache_->find(result_key)) {
             const WallTimer admitted;
             const JobId id = next_id_++;
             JobRecord& rec = records_[id];
@@ -184,18 +185,9 @@ GraphService::submit(JobSpec spec)
             rec.dataset = std::move(spec.dataset);
             rec.algo = std::move(spec.algo);
             rec.priority = spec.priority;
-            rec.state = JobState::Completed;
-            rec.from_cache = true;
-            rec.replay = hit->replay;
-            rec.cycles = hit->cycles;
-            rec.iterations = hit->iterations;
-            rec.edges_processed = hit->edges_processed;
-            rec.dram_bytes_read = hit->dram_bytes_read;
-            rec.dram_bytes_written = hit->dram_bytes_written;
-            rec.moms_hit_rate = hit->moms_hit_rate;
-            rec.gteps = hit->gteps;
-            rec.values_checksum = hit->values_checksum;
+            hit->fill(rec);
             completion_log_.push_back(id);
+            ++stats_.result_cache.hits;
             ++stats_.completed;
             ++stats_.result_cache_completed;
             stats_.queue_wait.add(0.0);
@@ -283,8 +275,12 @@ GraphService::stats() const
     s.cache = cache_.stats();
     if (ckpt_pool_)
         s.checkpoints = ckpt_pool_->stats();
-    if (result_cache_)
+    if (result_cache_) {
+        // Hits and misses are counted here, where jobs are answered.
         s.result_cache = result_cache_->stats();
+        s.result_cache.hits = stats_.result_cache.hits;
+        s.result_cache.misses = stats_.result_cache.misses;
+    }
     if (limiter_)
         s.rate = limiter_->stats();
     return s;
@@ -293,11 +289,22 @@ GraphService::stats() const
 void
 GraphService::spawnDrainersLocked()
 {
+    // Each running job occupies the drainer that popped it.
     while (active_drainers_ < pool_.workers() &&
-           active_drainers_ < queue_.queued()) {
+           active_drainers_ < queue_.queued() + queue_.running()) {
         ++active_drainers_;
         pool_.post([this] { drainerLoop(); });
     }
+}
+
+void
+GraphService::finishLocked(JobId id, std::uint64_t dispatch_idx)
+{
+    queue_.complete(id);
+    finished_[dispatch_idx] = id;
+    publishReadyLocked();
+    if (queue_.idle() && finished_.empty())
+        idle_cv_.notify_all();
 }
 
 void
@@ -346,11 +353,10 @@ GraphService::runAttempt(const JobSpec& spec, const AccelConfig& cfg,
     // adds no preprocessing; sharing the pointer keeps the graph alive
     // across a concurrent cache eviction. The packed-CSR half of the
     // prep travels on the config instead (the cache only relabels), so
-    // it still keys checkpoints, memos and fingerprints. With the
-    // checkpoint pool on, the session is forked from a pooled warm
-    // checkpoint instead of cold-built: repeat jobs share the
-    // partition, and *identical* jobs replay the memoized result
-    // without simulating. The replay context is set per fork
+    // it still keys checkpoints and fingerprints. With the checkpoint
+    // pool on, the session is forked from a pooled warm checkpoint
+    // instead of cold-built: repeat jobs share the partition and
+    // simulate on it. The replay context is set per fork
     // (result-neutral; the pooled checkpoint stores a neutral config).
     AccelConfig run_cfg = cfg;
     run_cfg.packed_edges = packedCsr(spec.prep);
@@ -400,8 +406,23 @@ GraphService::drainerLoop()
         PendingJob& job = pending_.at(id);
         job.dispatch_idx = dispatch_count_++;
         JobRecord& live = records_.at(id);
-        live.state = JobState::Running;
         live.queue_seconds = job.admitted.elapsedSeconds();
+
+        // A repeat queued before its first instance finished: answer it
+        // from the result cache now, published in dispatch order.
+        if (!job.result_key.empty()) {
+            if (const ResultCache::Entry* hit =
+                    result_cache_->find(job.result_key)) {
+                hit->fill(live);
+                live.total_seconds = live.queue_seconds;
+                ++stats_.result_cache.hits;
+                ++stats_.result_cache_completed;
+                finishLocked(id, job.dispatch_idx);
+                continue;
+            }
+            ++stats_.result_cache.misses;
+        }
+        live.state = JobState::Running;
 
         // Everything the run needs, copied out so the simulation never
         // holds the service lock.
@@ -475,27 +496,13 @@ GraphService::drainerLoop()
         records_.at(id) = rec;
         // Only a *Completed* run is cacheable: it ran the keyed config
         // (a Degraded run executed the fallback preset instead).
-        if (result_cache_ && rec.state == JobState::Completed &&
-            !finished_job.result_key.empty()) {
-            ResultCache::Entry entry;
-            entry.cycles = rec.cycles;
-            entry.iterations = rec.iterations;
-            entry.edges_processed = rec.edges_processed;
-            entry.dram_bytes_read = rec.dram_bytes_read;
-            entry.dram_bytes_written = rec.dram_bytes_written;
-            entry.moms_hit_rate = rec.moms_hit_rate;
-            entry.gteps = rec.gteps;
-            entry.values_checksum = rec.values_checksum;
-            entry.replay = rec.replay;
-            result_cache_->put(finished_job.result_key, entry);
-        }
+        if (rec.state == JobState::Completed &&
+            !finished_job.result_key.empty())
+            result_cache_->put(finished_job.result_key,
+                               ResultCache::Entry::fromRecord(rec));
         stats_.retries += retries;
         stats_.fallback_runs += fallback_runs;
-        queue_.complete(id);
-        finished_[finished_job.dispatch_idx] = id;
-        publishReadyLocked();
-        if (queue_.idle() && finished_.empty())
-            idle_cv_.notify_all();
+        finishLocked(id, finished_job.dispatch_idx);
     }
     --active_drainers_;
     if (active_drainers_ == 0 && queue_.idle() && finished_.empty())

@@ -78,21 +78,22 @@ struct ServiceConfig
 
     /** Serve repeat (dataset, prep, config) jobs from a pool of warm
      *  session checkpoints: the first job on a key pays the partition
-     *  cost, later jobs fork the checkpoint, and *identical* jobs
-     *  (same algo + args) replay the memoized, bit-identical result
-     *  without re-simulating. Off = every attempt cold-builds (the
+     *  cost, later jobs fork the checkpoint and simulate on it.
+     *  Checkpoints hold inputs, not results (identical jobs are the
+     *  result cache's). Off = every attempt cold-builds (the
      *  pre-checkpoint behavior). */
     bool enable_checkpoints = true;
     /** Checkpoint-pool resident-byte budget; 0 = unbounded. */
     std::uint64_t checkpoint_budget_bytes = 1024ull << 20;
 
     /** Serve repeat queries from the deterministic result cache: a
-     *  submit whose (dataset, prep, algo, source, iterations, config
-     *  fingerprint) key already holds a *Completed* result returns the
-     *  pinned values_checksum in O(1) without admission or simulation
-     *  (ISSUE 9). Off = every submit simulates. */
+     *  job whose (dataset, prep, algo, source, iterations, config
+     *  fingerprint) key already holds a *Completed* result gets the
+     *  pinned values_checksum in O(1) without simulation — at submit
+     *  (no admission either), or at dispatch when it was queued before
+     *  its first instance finished. Off = every job simulates. */
     bool enable_result_cache = true;
-    /** Result-cache byte budget; 0 = unbounded. Entries are ~200 B so
+    /** Result-cache byte budget; 0 = unbounded. Entries are ~300 B so
      *  the default holds hundreds of thousands of distinct queries. */
     std::uint64_t result_cache_budget_bytes = 64ull << 20;
 
@@ -134,10 +135,10 @@ struct ServiceStats
     double wall_seconds = 0;  //!< service lifetime at stats() time
     std::uint64_t queued = 0;   //!< admission snapshot at stats() time
     std::uint64_t running = 0;  //!< dispatched, not yet terminal
-    DatasetCache::Stats cache;
-    CheckpointPool::Stats checkpoints;  //!< zeros when pool disabled
-    ResultCache::Stats result_cache;    //!< zeros when cache disabled
-    RateLimiter::Stats rate;            //!< zeros when limiter off
+    CacheStats cache;         //!< the dataset cache
+    CacheStats checkpoints;   //!< zeros when pool disabled
+    CacheStats result_cache;  //!< zeros when cache disabled
+    RateLimiter::Stats rate;  //!< zeros when limiter off
 
     std::uint64_t terminal() const
     {
@@ -241,15 +242,20 @@ class GraphService
     {
         JobSpec spec;
         AccelConfig config;  //!< resolved by validateJobSpec
-        std::string result_key;  //!< ResultCache::keyFor, "" = uncachable
+        std::string result_key;  //!< ResultCache::keyFor; "" = cache off
         WallTimer admitted;          //!< starts at admission
         std::uint64_t dispatch_idx = 0;
     };
 
     /** Worker body: dispatch-run-publish until the queue drains. */
     void drainerLoop();
-    /** Spawn drainers up to min(workers, queued). Caller holds mu_. */
+    /** Spawn drainers until one is free for every queued job — a
+     *  drainer running a job is not — capped at the worker count.
+     *  Caller holds mu_. */
     void spawnDrainersLocked();
+    /** Hand the terminal record of dispatched job @p id to the reorder
+     *  buffer and publish what is ready. Caller holds mu_. */
+    void finishLocked(JobId id, std::uint64_t dispatch_idx);
     /** Publish in dispatch order whatever finished. Caller holds mu_. */
     void publishReadyLocked();
     /** One simulation attempt; fills @p rec result fields on success.

@@ -166,10 +166,14 @@ ThreadPool::runAll(std::vector<Job> jobs)
                 error = std::current_exception();
             }
             std::lock_guard<std::mutex> lock(batch->mu);
+            // Hand the exception over (or drop it) under the lock: once
+            // remaining hits 0 the caller may rethrow and free it, so
+            // this worker must hold no reference after unlocking.
             if (error && i < batch->first_error_index) {
-                batch->first_error = error;
+                batch->first_error = std::move(error);
                 batch->first_error_index = i;
             }
+            error = nullptr;
             if (--batch->remaining == 0)
                 batch->done.notify_all();
         });
@@ -177,8 +181,13 @@ ThreadPool::runAll(std::vector<Job> jobs)
 
     std::unique_lock<std::mutex> lock(batch->mu);
     batch->done.wait(lock, [&] { return batch->remaining == 0; });
-    if (batch->first_error)
-        std::rethrow_exception(batch->first_error);
+    // Take the exception out under the lock as well: a worker may drop
+    // the last batch reference after this returns, and must not be the
+    // one that frees an exception the caller is reading.
+    const std::exception_ptr error = batch->first_error;
+    batch->first_error = nullptr;
+    if (error)
+        std::rethrow_exception(error);
 }
 
 } // namespace gmoms

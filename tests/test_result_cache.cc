@@ -6,13 +6,15 @@
  * matrix (configFingerprint deliberately ignores both knobs), eviction
  * under a tiny budget rebuilds correctly, distinct config fingerprints
  * never collide, cluster (boards > 1) jobs cache correctly, Degraded
- * results are never cached, and batch-mode duplicate bursts never hit
- * (lookups happen at submit time — determinism safety).
+ * results are never cached, and batch-mode duplicates queued before
+ * their first instance finished are answered at dispatch, in dispatch
+ * order. The LRU itself is tested in test_byte_budget_lru.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/accel/checkpoint.hh"
 #include "src/serve/result_cache.hh"
@@ -124,21 +126,55 @@ TEST(ResultCacheKey, SeparatesEveryInput)
 TEST(ResultCacheUnit, MissThenHitAndStats)
 {
     ResultCache cache(0);  // unbounded
-    EXPECT_FALSE(cache.get("k1").has_value());
+    EXPECT_EQ(cache.find("k1"), nullptr);
     cache.put("k1", entryWithChecksum(42));
-    const auto hit = cache.get("k1");
-    ASSERT_TRUE(hit.has_value());
+    const ResultCache::Entry* hit = cache.find("k1");
+    ASSERT_NE(hit, nullptr);
     EXPECT_EQ(hit->values_checksum, 42u);
     EXPECT_EQ(hit->cycles, 100u);
 
-    const ResultCache::Stats s = cache.stats();
-    EXPECT_EQ(s.hits, 1u);
-    EXPECT_EQ(s.misses, 1u);
+    // The cache reports what it holds; hits and misses are counted by
+    // the service, which answers jobs (ServiceResultCache.* below).
+    const CacheStats s = cache.stats();
+    EXPECT_EQ(s.hits, 0u);
+    EXPECT_EQ(s.misses, 0u);
     EXPECT_EQ(s.insertions, 1u);
     EXPECT_EQ(s.evictions, 0u);
     EXPECT_EQ(s.entries, 1u);
     EXPECT_GT(s.bytes, 0u);
-    EXPECT_DOUBLE_EQ(s.hitRate(), 0.5);
+}
+
+TEST(ResultCacheUnit, EntryRoundTripsThroughARecord)
+{
+    JobRecord done;
+    done.state = JobState::Completed;
+    done.cycles = 1234;
+    done.iterations = 3;
+    done.edges_processed = 99;
+    done.dram_bytes_read = 4096;
+    done.dram_bytes_written = 512;
+    done.moms_hit_rate = 0.25;
+    done.gteps = 1.5;
+    done.values_checksum = 0xfeed;
+    done.replay = "gmoms-replay v1 dataset=WT";
+
+    JobRecord answered;
+    answered.id = 7;
+    answered.tenant = "b";
+    ResultCache::Entry::fromRecord(done).fill(answered);
+    EXPECT_EQ(answered.state, JobState::Completed);
+    EXPECT_TRUE(answered.from_cache);
+    EXPECT_EQ(answered.id, 7u);
+    EXPECT_EQ(answered.tenant, "b");
+    EXPECT_EQ(answered.cycles, done.cycles);
+    EXPECT_EQ(answered.iterations, done.iterations);
+    EXPECT_EQ(answered.edges_processed, done.edges_processed);
+    EXPECT_EQ(answered.dram_bytes_read, done.dram_bytes_read);
+    EXPECT_EQ(answered.dram_bytes_written, done.dram_bytes_written);
+    EXPECT_EQ(answered.moms_hit_rate, done.moms_hit_rate);
+    EXPECT_EQ(answered.gteps, done.gteps);
+    EXPECT_EQ(answered.values_checksum, done.values_checksum);
+    EXPECT_EQ(answered.replay, done.replay);
 }
 
 TEST(ResultCacheUnit, EvictsLruNeverTheJustInserted)
@@ -152,12 +188,12 @@ TEST(ResultCacheUnit, EvictsLruNeverTheJustInserted)
     ResultCache cache(one_entry + one_entry / 2);
     cache.put("k1", entryWithChecksum(1));
     cache.put("k2", entryWithChecksum(2));  // evicts k1 (LRU)
-    EXPECT_FALSE(cache.get("k1").has_value());
-    ASSERT_TRUE(cache.get("k2").has_value());
+    EXPECT_EQ(cache.find("k1"), nullptr);
+    ASSERT_NE(cache.find("k2"), nullptr);
 
     cache.put("k3", entryWithChecksum(3));  // evicts k2
-    const auto k3 = cache.get("k3");
-    ASSERT_TRUE(k3.has_value());
+    const ResultCache::Entry* k3 = cache.find("k3");
+    ASSERT_NE(k3, nullptr);
     EXPECT_EQ(k3->values_checksum, 3u);
     EXPECT_GE(cache.stats().evictions, 2u);
     EXPECT_LE(cache.stats().entries, 2u);
@@ -167,11 +203,13 @@ TEST(ResultCacheUnit, RefreshIsIdempotent)
 {
     ResultCache cache(0);
     cache.put("k", entryWithChecksum(9));
+    const std::uint64_t one_entry = cache.stats().bytes;
     cache.put("k", entryWithChecksum(9));
-    const ResultCache::Stats s = cache.stats();
+    const CacheStats s = cache.stats();
     EXPECT_EQ(s.entries, 1u);
     EXPECT_EQ(s.insertions, 2u);
-    EXPECT_EQ(cache.get("k")->values_checksum, 9u);
+    EXPECT_EQ(s.bytes, one_entry);
+    EXPECT_EQ(cache.find("k")->values_checksum, 9u);
 }
 
 // ---------------------------------------------------------------------
@@ -369,13 +407,14 @@ TEST(ServiceResultCache, DegradedResultsAreNeverCached)
     EXPECT_EQ(service.stats().result_cache.insertions, 0u);
 }
 
-TEST(ServiceResultCache, BatchModeBurstsNeverHit)
+TEST(ServiceResultCache, BatchModeRepeatsHitAtDispatch)
 {
-    // Lookups happen at submit time: in paused (batch) mode nothing has
-    // finished when duplicates arrive, so all of them simulate and the
-    // completion order stays the deterministic batch order.
+    // In paused (batch) mode nothing has finished when the duplicates
+    // are submitted, so all three queue. With one worker the first
+    // simulates and the other two are answered from the result cache
+    // when they are dispatched, published in dispatch order.
     ServiceConfig cfg;
-    cfg.workers = 2;
+    cfg.workers = 1;
     cfg.start_paused = true;
     GraphService service(cfg);
     const auto a = service.submit(tinyJob("a", "PageRank"));
@@ -385,16 +424,38 @@ TEST(ServiceResultCache, BatchModeBurstsNeverHit)
     EXPECT_FALSE(a.from_cache || b.from_cache || c.from_cache);
     service.drain();
 
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.result_cache.hits, 0u);
-    EXPECT_EQ(stats.completed, 3u);
-    EXPECT_EQ(service.poll(a.id)->values_checksum,
-              service.poll(c.id)->values_checksum);
+    const JobRecord ra = *service.poll(a.id);
+    EXPECT_EQ(ra.state, JobState::Completed);
+    EXPECT_FALSE(ra.from_cache);
+    for (const JobId id : {b.id, c.id}) {
+        const JobRecord rec = *service.poll(id);
+        EXPECT_EQ(rec.state, JobState::Completed);
+        EXPECT_TRUE(rec.from_cache) << "job " << id;
+        EXPECT_EQ(rec.values_checksum, ra.values_checksum);
+        EXPECT_EQ(rec.cycles, ra.cycles);
+        EXPECT_EQ(rec.attempts, 0u);
+        EXPECT_EQ(rec.prep_seconds, 0.0);
+        EXPECT_EQ(rec.sim_seconds, 0.0);
+    }
+    EXPECT_EQ(service.completionLog(),
+              (std::vector<JobId>{a.id, b.id, c.id}));
 
-    // After the batch finished, a live repeat hits as usual.
+    // One hit per answered job, one miss per simulated job.
+    ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.result_cache.hits, 2u);
+    EXPECT_EQ(stats.result_cache.misses, 1u);
+    EXPECT_EQ(stats.result_cache_completed, 2u);
+    EXPECT_EQ(stats.completed, 3u);
+    EXPECT_EQ(stats.checkpoints.hits + stats.checkpoints.misses, 1u);
+
+    // After the batch finished, a live repeat hits at submit.
     const auto live = service.submit(tinyJob("a", "PageRank"));
     ASSERT_TRUE(live.ok());
     EXPECT_TRUE(live.from_cache);
+    stats = service.stats();
+    EXPECT_EQ(stats.result_cache.hits, 3u);
+    EXPECT_EQ(stats.result_cache.misses, 1u);
+    EXPECT_EQ(stats.submitted, stats.rejected + stats.terminal());
 }
 
 TEST(ServiceResultCache, DisabledCacheNeverHits)

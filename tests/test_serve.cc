@@ -5,13 +5,15 @@
  * order and bit-identical per-job results under worker counts 1/2/8 —
  * the GMOMS_JOBS values the CI matrix pins), the deadline -> retry ->
  * degraded-fallback policy, dataset-cache LRU eviction correctness
- * (a rebuilt dataset gives bit-identical results), and TSan-clean
- * concurrent submit/poll.
+ * (a rebuilt dataset gives bit-identical results), checkpoints that
+ * hold inputs only, an idle worker taking a job queued behind a
+ * running one, and TSan-clean concurrent submit/poll.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <string>
 #include <thread>
@@ -194,7 +196,7 @@ TEST(DatasetCacheTest, SharesOneBuildUnderAmpleBudget)
     const DatasetPtr a = cache.get("WT");
     const DatasetPtr b = cache.get("WT");
     EXPECT_EQ(a.get(), b.get());
-    const DatasetCache::Stats s = cache.stats();
+    const CacheStats s = cache.stats();
     EXPECT_EQ(s.misses, 1u);
     EXPECT_EQ(s.hits, 1u);
     EXPECT_EQ(s.evictions, 0u);
@@ -481,41 +483,83 @@ TEST(ServeCache, EvictedDatasetRebuildsToIdenticalJobResults)
 
 TEST(ServeCheckpoint, RepeatJobsForkThePoolWithIdenticalResults)
 {
+    // PageRank, SCC and BFS on one (dataset, prep, config) key share
+    // one pooled checkpoint; a repeat of one of them is answered by
+    // the result cache and forks nothing.
+    const std::vector<std::string> algos = {"PageRank", "SCC", "BFS"};
     ServiceConfig cold_cfg;
     cold_cfg.workers = 1;
     cold_cfg.enable_checkpoints = false;
     GraphService cold(cold_cfg);
-    const JobId ref = cold.submit(tinyJob("t", "PageRank")).id;
+    std::vector<JobId> refs;
+    for (const std::string& algo : algos)
+        refs.push_back(cold.submit(tinyJob("t", algo)).id);
     cold.drain();
 
     ServiceConfig cfg;
     cfg.workers = 1;
     GraphService service(cfg);
-    const JobId j1 = service.submit(tinyJob("t", "PageRank")).id;
-    const JobId j2 = service.submit(tinyJob("t", "PageRank")).id;
-    const JobId j3 = service.submit(tinyJob("t", "PageRank")).id;
+    std::vector<JobId> ids;
+    for (const std::string& algo : algos)
+        ids.push_back(service.submit(tinyJob("t", algo)).id);
+    service.drain();
+    ids.push_back(service.submit(tinyJob("t", "PageRank")).id);
+    refs.push_back(refs.front());
     service.drain();
 
-    // Checkpoint-forked (and memo-replayed) jobs are bit-identical to
-    // the cold-built run.
-    const std::uint64_t want = cold.poll(ref)->values_checksum;
-    for (JobId id : {j1, j2, j3}) {
-        const JobRecord rec = *service.poll(id);
+    // Checkpoint-forked jobs are bit-identical to the cold-built runs,
+    // and so is the repeat.
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const JobRecord rec = *service.poll(ids[i]);
+        const JobRecord ref = *cold.poll(refs[i]);
         EXPECT_EQ(rec.state, JobState::Completed);
-        EXPECT_EQ(rec.values_checksum, want);
-        EXPECT_EQ(rec.cycles, cold.poll(ref)->cycles);
+        EXPECT_EQ(rec.values_checksum, ref.values_checksum);
+        EXPECT_EQ(rec.cycles, ref.cycles);
         EXPECT_FALSE(rec.replay.empty());
         EXPECT_TRUE(ReplayDescriptor::parse(rec.replay).has_value());
     }
+    EXPECT_TRUE(service.poll(ids.back())->from_cache);
 
     const ServiceStats stats = service.stats();
     EXPECT_EQ(stats.checkpoints.misses, 1u);  // first job built it
     EXPECT_EQ(stats.checkpoints.hits, 2u);
-    EXPECT_EQ(stats.checkpoints.forks, 3u);
-    EXPECT_EQ(stats.checkpoints.memo_hits, 2u);
-    EXPECT_GT(stats.checkpoints.resident_bytes, 0u);
+    EXPECT_EQ(stats.result_cache.hits, 1u);
+    EXPECT_GT(stats.checkpoints.bytes, 0u);
+    const std::string json = stats.toJson().str();
+    EXPECT_NE(json.find("\"checkpoint_forks\":3"), std::string::npos)
+        << json;
     // The disabled service never touched a pool.
-    EXPECT_EQ(cold.stats().checkpoints.forks, 0u);
+    EXPECT_NE(cold.stats().toJson().str().find("\"checkpoint_forks\":0"),
+              std::string::npos);
+}
+
+TEST(ServeCheckpoint, ResidentBytesDoNotGrowWithDistinctJobs)
+{
+    // A checkpoint holds inputs, not results: twenty distinct BFS
+    // sources on one key leave its resident bytes where the first
+    // job left them.
+    ServiceConfig cfg;
+    cfg.workers = 1;
+    GraphService service(cfg);
+    const auto bfsFrom = [](NodeId source) {
+        JobSpec spec = tinyJob("t", "BFS");
+        spec.source = source;
+        return spec;
+    };
+    ASSERT_TRUE(service.submit(bfsFrom(0)).ok());
+    service.drain();
+    const CacheStats after_first = service.stats().checkpoints;
+    for (NodeId source = 1; source < 20; ++source)
+        ASSERT_TRUE(service.submit(bfsFrom(source)).ok());
+    service.drain();
+
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.completed, 20u);
+    EXPECT_EQ(stats.result_cache.hits, 0u);
+    EXPECT_EQ(stats.checkpoints.entries, 1u);
+    EXPECT_EQ(stats.checkpoints.hits + stats.checkpoints.misses, 20u);
+    EXPECT_GT(after_first.bytes, 0u);
+    EXPECT_EQ(stats.checkpoints.bytes, after_first.bytes);
 }
 
 TEST(ServeCheckpoint, FailedJobsCarryAParseableReplayDescriptor)
@@ -538,6 +582,44 @@ TEST(ServeCheckpoint, FailedJobsCarryAParseableReplayDescriptor)
     EXPECT_EQ(rd->dataset, "WT");
     EXPECT_EQ(rd->algo, "PageRank");
     EXPECT_EQ(rd->iterations, 2u);
+}
+
+// ---------------------------------------------------------------------
+// GraphService: dispatch
+// ---------------------------------------------------------------------
+
+TEST(ServeDispatch, QueuedJobStartsWhileAnotherRuns)
+{
+    // Two workers and a first job already running: the second job must
+    // start on the idle worker, not wait behind the first.
+    ServiceConfig cfg;
+    cfg.workers = 2;
+    GraphService service(cfg);
+    const auto stateOf = [&](JobId id) { return service.poll(id)->state; };
+
+    JobSpec slow = tinyJob("a", "PageRank");
+    slow.iterations = 20;  // runs for well over 50 ms
+    const JobId first = service.submit(slow).id;
+    while (stateOf(first) == JobState::Queued)
+        std::this_thread::yield();
+
+    const JobId second = service.submit(tinyJob("b", "BFS")).id;
+    bool overlapped = false;
+    for (;;) {
+        // Second, then first: a first job still unfinished after the
+        // second left the queue means the two ran side by side.
+        const bool started = stateOf(second) != JobState::Queued;
+        const bool first_done = service.poll(first)->terminal();
+        if (started || first_done) {
+            overlapped = started && !first_done;
+            break;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    EXPECT_TRUE(overlapped)
+        << "the second job waited for the first to finish";
+    service.drain();
+    EXPECT_EQ(service.stats().completed, 2u);
 }
 
 // ---------------------------------------------------------------------
