@@ -32,14 +32,16 @@ struct AccelConfig
     MemSubstrateConfig mem;
 
     /** Encode edge shards in the packed half-word CSR (degree-aware
-     *  vertex packing: shard edges sorted by destination so one 16-bit
-     *  destination selector amortizes over a high-degree vertex's
-     *  in-edges, and sources shrink to 16-bit half-words). Roughly
-     *  halves edge-stream traffic; results are bit-identical because
-     *  every gather is commutative. Ineligible partitions (offsets or
-     *  weights that overflow a half-word) fall back to the plain
-     *  32-bit encoding automatically. Set by Session from the
-     *  Preprocessing::*Packed variants. */
+     *  vertex packing: shard edges grouped by source so one 16-bit
+     *  source selector amortizes over a high-degree vertex's
+     *  out-edges, and destinations shrink to 16-bit half-words; see
+     *  packedcsr in src/graph/layout.hh). Cuts edge-stream traffic.
+     *  Converged integer results (SCC, SSSP, BFS) match the plain
+     *  encoding; PageRank's f32 sums follow MOMS arrival order, so
+     *  they may differ from plain in the last ulp. Ineligible
+     *  partitions (offsets or weights that overflow a half-word) fall
+     *  back to the plain 32-bit encoding automatically. Set by
+     *  Session from the Preprocessing::*Packed variants. */
     bool packed_edges = false;
 
     /**

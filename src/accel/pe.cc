@@ -411,8 +411,8 @@ Pe::tickStream()
             // Packed half-word CSR: the cursor counts 16-bit
             // half-words. Padding and selector half-words are consumed
             // instantly (the hardware decodes a whole 512-bit line at
-            // once); only source half-words take the one-edge-per-
-            // cycle issue slot below.
+            // once); only destination half-words take the one-edge-
+            // per-cycle issue slot below.
             const std::uint32_t halves = 2 * seg.words;
             const auto half = [&](std::uint32_t h) {
                 const std::uint32_t w =
@@ -425,8 +425,8 @@ Pe::tickStream()
                 if (packedcsr::isPad(hw)) {
                     ++seg.cursor;
                 } else if (packedcsr::isSelector(hw)) {
-                    seg.open_dst = packedcsr::dstOff(hw);
-                    seg.has_open_dst = true;
+                    seg.open_src = packedcsr::srcOff(hw);
+                    seg.has_open_src = true;
                     ++seg.cursor;
                 } else {
                     break;
@@ -435,10 +435,10 @@ Pe::tickStream()
             if (seg.cursor >= halves) {
                 decode_q_.pop_front();
             } else {
-                if (!seg.has_open_dst)
+                if (!seg.has_open_src)
                     panic("packed CSR line starts without a selector");
-                dst_off = seg.open_dst;
-                src_off = packedcsr::srcOff(half(seg.cursor));
+                src_off = seg.open_src;
+                dst_off = packedcsr::dstOff(half(seg.cursor));
                 weight = spec_->weighted ? half(seg.cursor + 1) : 0;
                 advance = spec_->weighted ? 2 : 1;
                 have_edge = true;

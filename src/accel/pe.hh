@@ -116,16 +116,18 @@ class Pe : public Component
 
     /** One burst of edges received from DRAM, pending decode. In the
      *  packed half-word CSR, cursor counts 16-bit half-words instead
-     *  of words; segments are whole 64-byte lines (bursts split at
-     *  line multiples), so decode state never crosses segments. */
+     *  of words, and the last selector's source stays open until the
+     *  next one; segments are whole 64-byte lines (bursts split at
+     *  line multiples) and every line opens with a selector, so decode
+     *  state never crosses segments. */
     struct EdgeSegment
     {
         Addr addr = 0;            //!< first byte
         std::uint32_t words = 0;  //!< 32-bit words in the segment
         std::uint32_t cursor = 0; //!< next word (packed: half-word)
         std::uint32_t s = 0;      //!< source interval of the shard
-        std::uint32_t open_dst = 0;  //!< packed: open destination
-        bool has_open_dst = false;   //!< packed: selector seen yet
+        std::uint32_t open_src = 0;  //!< packed: open source offset
+        bool has_open_src = false;   //!< packed: selector seen yet
     };
 
     /** Shard chunks remaining to be requested. */

@@ -13,9 +13,8 @@ namespace
 
 /**
  * Encode one shard in the packed half-word CSR: edges grouped by
- * destination (stable, so the per-destination source order matches
- * the plain encoding and synchronous float accumulation stays
- * bit-identical), destination groups opened by selectors, lines kept
+ * source (stable, so each source's destinations keep their plain
+ * order), source groups opened by selectors, lines kept
  * self-contained (see packedcsr in layout.hh). Returns the half-word
  * stream padded to whole 64-byte lines; deterministic, so the layout
  * constructor (sizing) and build() (content) agree exactly.
@@ -28,34 +27,34 @@ packShard(const PartitionedGraph& pg, std::uint32_t s, std::uint32_t d,
     std::vector<Edge> edges(span.begin(), span.end());
     std::stable_sort(edges.begin(), edges.end(),
                      [](const Edge& a, const Edge& b) {
-                         return a.dst < b.dst;
+                         return a.src < b.src;
                      });
 
     constexpr std::uint32_t hpl = packedcsr::kHalfwordsPerLine;
-    const std::uint32_t src_units = weighted ? 2 : 1;
+    const std::uint32_t dst_units = weighted ? 2 : 1;
     const NodeId dst_base = pg.dstIntervalBase(d);
     const NodeId src_base = static_cast<NodeId>(s) * pg.ns();
 
     std::vector<std::uint16_t> out;
-    out.reserve((edges.size() + hpl) * (src_units + 1));
-    std::uint32_t open_dst = ~0u;
+    out.reserve((edges.size() + hpl) * (dst_units + 1));
+    std::uint32_t open_src = ~0u;
     for (const Edge& e : edges) {
         const std::uint32_t dst_off = e.dst - dst_base;
         const std::uint32_t src_off = e.src - src_base;
         const std::uint32_t pos = out.size() % hpl;
-        // Lines are self-contained: re-open the destination group at
-        // every line start.
-        bool need_sel = pos == 0 || dst_off != open_dst;
-        if (hpl - pos < (need_sel ? 1 : 0) + src_units) {
+        // Lines are self-contained: re-open the source group at every
+        // line start.
+        bool need_sel = pos == 0 || src_off != open_src;
+        if (hpl - pos < (need_sel ? 1 : 0) + dst_units) {
             while (out.size() % hpl != 0)
                 out.push_back(packedcsr::kPad);
             need_sel = true;
         }
         if (need_sel) {
-            out.push_back(packedcsr::selector(dst_off));
-            open_dst = dst_off;
+            out.push_back(packedcsr::selector(src_off));
+            open_src = src_off;
         }
-        out.push_back(packedcsr::source(src_off));
+        out.push_back(packedcsr::destination(dst_off));
         if (weighted)
             out.push_back(static_cast<std::uint16_t>(e.weight));
     }
@@ -73,7 +72,7 @@ packShard(const PartitionedGraph& pg, std::uint32_t s, std::uint32_t d,
 bool
 packEligible(const PartitionedGraph& pg)
 {
-    if (pg.ns() > 32768 || pg.nd() > 32767)
+    if (pg.ns() > 32767 || pg.nd() > 32768)
         return false;
     if (pg.weighted()) {
         for (std::uint32_t d = 0; d < pg.qd(); ++d)

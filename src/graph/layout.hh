@@ -54,29 +54,37 @@ constexpr std::uint32_t dstOff(std::uint32_t w) { return w & 0x7fffu; }
 /**
  * Packed half-word CSR (degree-aware vertex packing).
  *
- * Edges of a shard are sorted by (dst_off, src_off) and encoded as a
- * stream of 16-bit half-words in self-contained 64-byte lines (32
- * half-words per line):
+ * Edges of a shard are grouped by source (a stable sort on src_off)
+ * and encoded as a stream of 16-bit half-words in self-contained
+ * 64-byte lines (32 half-words per line):
  *
- *   selector  [15]=1, [14:0] dst_off — opens a destination group; all
- *             following source half-words until the next selector
- *             target this destination.
- *   source    [15]=0, [14:0] src_off — one in-edge of the open
- *             destination. Weighted shards append one raw 16-bit
- *             weight half-word after each source.
- *   0xFFFF    padding — skipped instantly; fills the tail of a line
- *             when the next unit would straddle the line boundary, and
- *             the tail of the shard.
+ *   selector     [15]=1, [14:0] src_off — opens a source group; all
+ *                following destination half-words until the next
+ *                selector are out-edges of this source.
+ *   destination  [15]=0, [14:0] dst_off — one out-edge of the open
+ *                source. Weighted shards append one raw 16-bit weight
+ *                half-word after each destination.
+ *   0xFFFF       padding — skipped instantly; fills the tail of a line
+ *                when the next unit would straddle the line boundary,
+ *                and the tail of the shard.
+ *
+ * Why group by source: consecutive edges of one source go to distinct
+ * destinations (unless the graph repeats an edge), so a multi-cycle
+ * gather (PageRank's float add) does not wait on a read-after-write
+ * hazard between neighbouring edges, as it does when a destination's
+ * in-edges follow each other. A source's run of reads targets one
+ * vertex line, so the MOMS merges all but the first into hits and
+ * secondary misses, which cost about what hits cost. Selectors
+ * amortize over a high-degree source's out-edges in the shard.
  *
  * Every line begins with a selector (re-issued across line breaks), so
  * any 64-byte burst decodes without state from earlier lines. A
- * (source, weight) pair never splits across lines. 0xFFFF can never be
- * a real selector because eligibility requires nd <= 32767.
+ * (destination, weight) pair never splits across lines. 0xFFFF can
+ * never be a real selector because eligibility requires ns <= 32767.
  *
  * Eligibility (checked per layout; ineligible partitions silently fall
- * back to the plain 32-bit encoding): ns <= 32768 (15-bit src_off),
- * nd <= 32767, and every weight <= 65535. The packed reorder of edges
- * within a shard is value-invariant: every gather is commutative.
+ * back to the plain 32-bit encoding): ns <= 32767, nd <= 32768 (15-bit
+ * dst_off), and every weight <= 65535.
  */
 namespace packedcsr
 {
@@ -86,15 +94,15 @@ inline constexpr std::uint16_t kPad = 0xffffu;
 inline constexpr std::uint32_t kHalfwordsPerLine = kLineBytes / 2;
 
 constexpr std::uint16_t
-selector(std::uint32_t dst_off)
+selector(std::uint32_t src_off)
 {
-    return static_cast<std::uint16_t>(kSelector | (dst_off & 0x7fffu));
+    return static_cast<std::uint16_t>(kSelector | (src_off & 0x7fffu));
 }
 
 constexpr std::uint16_t
-source(std::uint32_t src_off)
+destination(std::uint32_t dst_off)
 {
-    return static_cast<std::uint16_t>(src_off & 0x7fffu);
+    return static_cast<std::uint16_t>(dst_off & 0x7fffu);
 }
 
 constexpr bool isPad(std::uint16_t h) { return h == kPad; }
@@ -102,8 +110,10 @@ constexpr bool isSelector(std::uint16_t h)
 {
     return (h & kSelector) != 0;
 }
-constexpr std::uint32_t dstOff(std::uint16_t h) { return h & 0x7fffu; }
+/** Source offset carried by a selector half-word. */
 constexpr std::uint32_t srcOff(std::uint16_t h) { return h & 0x7fffu; }
+/** Destination offset carried by a destination half-word. */
+constexpr std::uint32_t dstOff(std::uint16_t h) { return h & 0x7fffu; }
 
 } // namespace packedcsr
 

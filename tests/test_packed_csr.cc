@@ -1,9 +1,10 @@
 /**
  * @file
  * Packed half-word CSR: encoder round-trip against the shard edge
- * lists, size advantage over the plain 32-bit encoding, silent
- * fallback on ineligible partitions, and end-to-end value identity
- * (plain vs packed, engine modes, tick threads, session wiring).
+ * lists, size advantage over the plain 32-bit encoding, eligibility
+ * at the offset limits and silent fallback beyond them, end-to-end
+ * value identity (plain vs packed, engine modes, tick threads, session
+ * wiring), and PageRank throughput against the plain encoding.
  */
 
 #include <gtest/gtest.h>
@@ -49,8 +50,8 @@ decodePacked(const GraphLayout& layout, const BackingStore& store,
                                                 : w & 0xffffu);
     };
     std::vector<Edge> out;
-    std::uint32_t open_dst = 0;
-    bool has_dst = false;
+    std::uint32_t open_src = 0;
+    bool has_src = false;
     for (std::uint64_t h = 0; h < halves;) {
         const std::uint16_t hw = half(h);
         if (packedcsr::isPad(hw)) {
@@ -59,25 +60,25 @@ decodePacked(const GraphLayout& layout, const BackingStore& store,
         }
         if (packedcsr::isSelector(hw)) {
             // Lines must be self-contained: a line never opens with a
-            // source half-word.
-            open_dst = packedcsr::dstOff(hw);
-            has_dst = true;
+            // destination half-word.
+            open_src = packedcsr::srcOff(hw);
+            has_src = true;
             ++h;
             continue;
         }
-        EXPECT_TRUE(has_dst);
+        EXPECT_TRUE(has_src);
         if (h % packedcsr::kHalfwordsPerLine == 0)
-            ADD_FAILURE() << "line opened with a source half-word";
+            ADD_FAILURE() << "line opened with a destination half-word";
         Edge e;
-        e.src = static_cast<NodeId>(s) * pg.ns() + packedcsr::srcOff(hw);
-        e.dst = pg.dstIntervalBase(d) + open_dst;
+        e.src = static_cast<NodeId>(s) * pg.ns() + open_src;
+        e.dst = pg.dstIntervalBase(d) + packedcsr::dstOff(hw);
         ++h;
         if (pg.weighted()) {
             e.weight = half(h);
             ++h;
         }
         out.push_back(e);
-        // The self-containment invariant: a (source, weight) pair
+        // The self-containment invariant: a (destination, weight) pair
         // never splits across lines, which the cursor walk above
         // implicitly checks by reading the weight without a line test.
     }
@@ -104,8 +105,8 @@ expectRoundTrip(const CooGraph& g, std::uint32_t nd, std::uint32_t ns)
             std::vector<Edge> want(span.begin(), span.end());
             ASSERT_EQ(got.size(), want.size())
                 << "shard s=" << s << " d=" << d;
-            // The packed encoder reorders within the shard ((dst, src)
-            // sort) — compare as sorted lists.
+            // The packed encoder reorders within the shard (grouped by
+            // source) — compare as sorted lists.
             auto lt = [&](const Edge& a, const Edge& b) {
                 return key(a) < key(b);
             };
@@ -132,11 +133,11 @@ TEST(PackedCsr, RoundTripWeighted)
 
 TEST(PackedCsr, RoundTripTinyAndSkewed)
 {
-    // Degenerate shapes: single-node star (max dst amortization) and a
-    // chain (selector per edge, worst case).
+    // Degenerate shapes: single-source star (max src amortization) and
+    // a chain (selector per edge, worst case).
     CooGraph star(64);
     for (NodeId i = 1; i < 64; ++i)
-        star.addEdge(i, 0);
+        star.addEdge(0, i);
     expectRoundTrip(star, 32, 64);
 
     CooGraph chain(100);
@@ -147,7 +148,7 @@ TEST(PackedCsr, RoundTripTinyAndSkewed)
 
 TEST(PackedCsr, ShrinksTheEdgeSection)
 {
-    // Clustered in-edges (rmat) amortize selectors: the packed section
+    // Clustered out-edges (rmat) amortize selectors: the packed section
     // must be meaningfully under the plain one (2 B vs 4 B per edge
     // before selector overhead).
     const CooGraph g = rmat(12, 60000, RmatParams{}, 21);
@@ -180,18 +181,29 @@ TEST(PackedCsr, FallsBackOnOversizedWeights)
 
 TEST(PackedCsr, FallsBackOnWideIntervals)
 {
-    CooGraph g(8);
-    g.addEdge(0, 1);
-    // nd > 32767 would collide with the all-ones pad half-word.
-    const PartitionedGraph wide(g, 8, 8);
-    GraphLayout l(wide, opts(true));
-    EXPECT_TRUE(l.packed());  // small intervals are fine
-
-    // Selector construction itself: the maximum legal dst_off still
-    // stays clear of the pad encoding.
+    // A selector carries a 15-bit src_off and must stay clear of the
+    // all-ones pad half-word, so ns tops out at 32767; a destination
+    // half-word carries any 15-bit dst_off, so nd reaches 32768.
     EXPECT_NE(packedcsr::selector(32766), packedcsr::kPad);
+    EXPECT_EQ(packedcsr::selector(32767), packedcsr::kPad);
     EXPECT_TRUE(packedcsr::isSelector(packedcsr::selector(0)));
-    EXPECT_FALSE(packedcsr::isSelector(packedcsr::source(32767)));
+    EXPECT_FALSE(packedcsr::isSelector(packedcsr::destination(32767)));
+
+    // Edges at the largest offsets either limit allows: src_off 32766
+    // (ns = 32767) and dst_off 32767 (nd = 32768).
+    CooGraph g(65536);
+    g.addEdge(32766, 32767);
+    g.addEdge(0, 32767);
+    g.addEdge(32766, 0);
+    g.addEdge(65533, 65535);
+    g.addEdge(40000, 32768);
+    expectRoundTrip(g, 32768, 32767);  // asserts packed()
+
+    const PartitionedGraph wide(g, 32768, 32768);
+    GraphLayout l(wide, opts(true));
+    EXPECT_FALSE(l.packed());  // silent fallback to plain
+    GraphLayout plain(wide, opts(false));
+    EXPECT_EQ(l.edgeSectionBytes(), plain.edgeSectionBytes());
 }
 
 // --- end-to-end ---------------------------------------------------------
@@ -218,7 +230,7 @@ TEST(PackedCsrEndToEnd, SccValuesIdenticalToPlain)
     const AlgoSpec spec = AlgoSpec::scc(g.numNodes(), 5);
     const RunResult plain = runAccel(g, spec, false);
     const RunResult packed = runAccel(g, spec, true);
-    // SCC is asynchronous: packing regroups edges by destination, so
+    // SCC is asynchronous: packing regroups edges by source, so
     // the label-propagation trajectory (and edges_processed) may
     // differ — the converged fixpoint may not.
     EXPECT_EQ(plain.raw_values, packed.raw_values);
@@ -244,6 +256,22 @@ TEST(PackedCsrEndToEnd, PageRankStaysWithinGoldenTolerance)
             << "node " << i;
         EXPECT_NEAR(a, b, 1e-5 * golden[i] + 1e-9) << "node " << i;
     }
+}
+
+TEST(PackedCsrEndToEnd, PageRankNoSlowerThanPlain)
+{
+    // PageRank's gather is a multi-cycle float add, so back-to-back
+    // edges to one destination stall on a read-after-write hazard.
+    // Source-grouped shards put distinct destinations on consecutive
+    // edges: the packed run may not stall more, or run longer, than
+    // the plain one it compresses.
+    const CooGraph g = rmat(10, 10240, RmatParams{}, 31);
+    const AlgoSpec spec = AlgoSpec::pageRank(g, 3);
+    const RunResult plain = runAccel(g, spec, false);
+    const RunResult packed = runAccel(g, spec, true);
+    ASSERT_TRUE(packed.packed_layout);
+    EXPECT_LE(packed.cycles, plain.cycles);
+    EXPECT_LE(packed.pe_raw_stalls, 2 * plain.pe_raw_stalls);
 }
 
 TEST(PackedCsrEndToEnd, SsspWeightedIdenticalToPlain)

@@ -452,10 +452,13 @@ TEST(ServeDeadline, FallbackDisabledFailsTerminally)
 TEST(ServeCache, EvictedDatasetRebuildsToIdenticalJobResults)
 {
     // A cache too small to hold both keys: every alternation evicts.
-    // Job results must not care.
+    // Job results must not care. The result cache is off, so the
+    // repeat of `a` rebuilds its evicted dataset instead of being
+    // answered at dispatch.
     ServiceConfig cfg;
     cfg.workers = 1;
     cfg.cache_budget_bytes = 1;
+    cfg.enable_result_cache = false;
     GraphService service(cfg);
 
     JobSpec a = tinyJob("t", "PageRank");
@@ -468,6 +471,7 @@ TEST(ServeCache, EvictedDatasetRebuildsToIdenticalJobResults)
     service.drain();
 
     EXPECT_GE(service.datasetCache().stats().evictions, 1u);
+    EXPECT_EQ(service.datasetCache().stats().misses, 3u);  // a, b, a
     const JobRecord ra1 = *service.poll(a1);
     const JobRecord ra2 = *service.poll(a2);
     EXPECT_EQ(ra1.state, JobState::Completed);
