@@ -222,8 +222,8 @@ writeReportAtomically(const std::string& path, const JsonReport& report)
  * half-written; every other bench leaves the committed file alone.
  * When both engine modes ran in the same process the report includes
  * their cycles/sec ratio ("speedup"). Benches may attach extra
- * pre-serialized sections (the tick-thread sweep and checkpoint-latency
- * records of bench_engine) with addSection().
+ * pre-serialized sections (bench_engine's checkpoint-latency record)
+ * with addSection().
  */
 class EngineBenchRecorder
 {
@@ -250,8 +250,8 @@ class EngineBenchRecorder
     }
 
     /** Attach a pre-serialized JSON value under @p key in the final
-     *  report (bench-specific sections: "tick_threads",
-     *  "checkpoint"). Last write per key wins. */
+     *  report (bench-specific sections, e.g. "checkpoint"). Last write
+     *  per key wins. */
     void
     addSection(const std::string& key, std::string json)
     {
@@ -279,9 +279,8 @@ class EngineBenchRecorder
         const char* env = std::getenv("GMOMS_BENCH_ENGINE_JSON");
         const std::string path = env ? env : "BENCH_engine.json";
         JsonReport report;
-        // Wall-clock context for the parallel-tick numbers: speedup on
-        // a 1-core host is not a code defect, and consumers need to
-        // know which they are looking at.
+        // Wall-clock context: every number here is host time, and
+        // consumers need to know what host measured it.
         report.set("host_cpus",
                    static_cast<std::uint64_t>(
                        std::thread::hardware_concurrency()));

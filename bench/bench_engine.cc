@@ -6,14 +6,11 @@
  * cache-less MOMS configurations, the slowest points of
  * ablation_die_crossing and fig12_hitrate) under both engine modes,
  * checks bit-exact cycle/result agreement, and reports wall-clock
- * speedup. Two further sections cover this layer's other speed knobs:
- * a tick-thread sweep (AccelConfig::tick_threads in {1,2,4,8} on the
- * Fig. 11 reference design point, asserting bit-exact results at every
- * count) and checkpoint capture/restore/fork latency. This is the one
- * bench that opts the EngineBenchRecorder (bench_common.hh) in to
- * writing: all aggregate numbers — including host_cpus, without which
- * the tick-thread speedups cannot be interpreted — land in
- * BENCH_engine.json at exit, atomically.
+ * speedup. A further section times checkpoint capture/restore/fork on
+ * the Fig. 11 reference design point. This is the one bench that opts
+ * the EngineBenchRecorder (bench_common.hh) in to writing: all
+ * aggregate numbers, with host_cpus, land in BENCH_engine.json at
+ * exit, atomically.
  */
 
 #include "bench/bench_common.hh"
@@ -219,75 +216,14 @@ main()
                     : "CHECKS CHANGED RESULTS — the hardening layer is "
                       "not observation-only");
 
-    // Parallel-tick contract (docs/MODEL.md "Deterministic parallel
-    // ticking & checkpoints"): any tick_threads value is bit-identical
-    // to serial; the speedup depends on host cores (host_cpus in the
-    // JSON — on a 1-core CI runner the barrier only costs).
-    std::printf("\n=== Parallel ticking: tick-thread sweep "
-                "(Fig. 11 reference, 18/16 two-level 2k) ===\n");
+    // Checkpoint latency: what the serving layer pays to save a warm
+    // session once versus forking it per job.
+    std::printf("\n=== Warm-session checkpoint: capture / restore / "
+                "fork (Fig. 11 reference, 18/16 two-level 2k) ===\n");
     const AccelConfig ref_cfg =
         AccelConfig::preset(MomsConfig::twoLevel(16, 2048), /*pes=*/18,
                             /*channels=*/4);
     const CooGraph& ref_g = *loadDataset("WT");
-
-    Table tick_table(
-        {"threads", "cycles", "wall s", "Mcyc/s", "speedup", "exact"});
-    bool tick_exact = true;
-    RunOutcome serial;
-    double serial_rate = 0;
-    std::string tick_json = "[";
-    const unsigned kThreadCounts[] = {1, 2, 4, 8};
-    for (unsigned t : kThreadCounts) {
-        AccelConfig cfg = ref_cfg;
-        cfg.tick_threads = t;
-        RunOutcome o = runOn(ref_g, "PageRank", cfg);
-        const bool same =
-            t == 1 || (o.result.cycles == serial.result.cycles &&
-                       o.result.raw_values == serial.result.raw_values);
-        if (t == 1)
-            serial = o;
-        if (!same) {
-            std::printf("MISMATCH at tick_threads=%u: results differ "
-                        "from serial\n", t);
-            tick_exact = false;
-        }
-        const double rate =
-            o.wall_seconds > 0
-                ? static_cast<double>(o.result.cycles) / o.wall_seconds
-                : 0.0;
-        if (t == 1)
-            serial_rate = rate;
-        const double speedup = serial_rate > 0 ? rate / serial_rate : 0;
-        tick_table.addRow({std::to_string(t),
-                           std::to_string(o.result.cycles),
-                           fmt(o.wall_seconds, 2), fmt(rate / 1e6, 3),
-                           fmt(speedup, 2) + "x", same ? "yes" : "NO"});
-        JsonReport row;
-        row.set("threads", static_cast<std::uint64_t>(t))
-            .set("cycles", static_cast<std::uint64_t>(o.result.cycles))
-            .set("wall_seconds", o.wall_seconds)
-            .set("cycles_per_sec", rate)
-            .set("speedup_vs_serial", speedup)
-            .set("exact", same);
-        if (tick_json.size() > 1)
-            tick_json += ",";
-        tick_json += row.str();
-    }
-    tick_json += "]";
-    EngineBenchRecorder::instance().addSection("tick_threads",
-                                               tick_json);
-    tick_table.print();
-    std::printf("\n%s.\n",
-                tick_exact
-                    ? "Every thread count reproduced the serial run "
-                      "bit-for-bit"
-                    : "PARALLEL TICKING CHANGED RESULTS — the tick-"
-                      "group contract is broken");
-
-    // Checkpoint latency: what the serving layer pays to save a warm
-    // session once versus forking it per job.
-    std::printf("\n=== Warm-session checkpoint: capture / restore / "
-                "fork ===\n");
     Session warm = SessionBuilder()
                        .datasetView(ref_g)
                        .config(ref_cfg)
@@ -324,5 +260,5 @@ main()
     EngineBenchRecorder::instance().addSection("checkpoint",
                                                ckpt.str());
 
-    return exact && tele_exact && check_exact && tick_exact ? 0 : 1;
+    return exact && tele_exact && check_exact ? 0 : 1;
 }

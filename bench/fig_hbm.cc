@@ -21,10 +21,10 @@
  *
  * Invariants checked here (and fatal when violated): the converged SCC
  * values_checksum is identical across every substrate, both edge
- * encodings, both engine modes and tick-thread counts — substrates and
- * encodings move timing, never results; and every packed point reaches
- * at least kMinPackedVsPlain of its plain twin's GTEPS — compression
- * may not cost throughput.
+ * encodings and both engine modes — substrates and encodings move
+ * timing, never results; and every packed point reaches at least
+ * kMinPackedVsPlain of its plain twin's GTEPS — compression may not
+ * cost throughput.
  *
  * Flags: --smoke (tiny sweep for CI), --json=FILE (machine-readable
  * artifact; --smoke defaults it to BENCH_hbm.json), plus the shared
@@ -316,8 +316,7 @@ main(int argc, char** argv)
 
     // --- Checksum invariance (fatal on violation) ---------------------
     // Converged SCC has a unique fixpoint: its values_checksum may not
-    // move with the substrate, the edge encoding, the engine mode or
-    // the tick-thread count.
+    // move with the substrate, the edge encoding or the engine mode.
     std::printf("=== values_checksum invariance (converged SCC, %s) "
                 "===\n",
                 tags.front().c_str());
@@ -338,16 +337,13 @@ main(int argc, char** argv)
             AccelConfig base = pointConfig(sub, packed);
             std::vector<AccelConfig> variants;
             variants.push_back(base);
-            // Engine-mode and tick-thread variants on the first
-            // substrate of each kind keep the block CI-sized.
+            // Engine-mode variants on the first substrate of each kind
+            // keep the block CI-sized.
             if (sub.key == subs.front().key ||
                 sub.key == subs.back().key) {
                 AccelConfig full = base;
                 full.full_tick_engine = true;
                 variants.push_back(full);
-                AccelConfig threads = base;
-                threads.tick_threads = 2;
-                variants.push_back(threads);
             }
             for (AccelConfig& v : variants) {
                 const std::uint64_t got = checksum(std::move(v));
@@ -365,8 +361,7 @@ main(int argc, char** argv)
         }
     }
     std::printf("checksum %016llx identical across %u runs "
-                "(substrates x encodings x engine modes x tick "
-                "threads)\n\n",
+                "(substrates x encodings x engine modes)\n\n",
                 static_cast<unsigned long long>(want), checked);
     report.set("values_checksum", want);
     report.set("checksum_runs",

@@ -91,13 +91,6 @@ struct AccelConfig
      *  by GMOMS_FULL_TICK=1). */
     bool full_tick_engine = false;
 
-    /** Tick thread team size: 0 defers to GMOMS_TICK_THREADS (unset =
-     *  serial), >= 2 ticks hazard-free component groups (DRAM
-     *  channels, MOMS banks) on that many threads. Results, telemetry
-     *  and check signatures are bit-identical at any value; see
-     *  docs/MODEL.md "Deterministic parallel ticking & checkpoints". */
-    unsigned tick_threads = 0;
-
     /** Hardening layer: disabled by default (no harness component, no
      *  shadow memory, all hook pointers null — zero per-cycle cost).
      *  When enabled, results are still bit-exact; the run merely gains

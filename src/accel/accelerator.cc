@@ -19,7 +19,6 @@ Accelerator::Accelerator(const AccelConfig& cfg,
         fatal("algorithm/graph weighted mismatch");
     if (cfg_.full_tick_engine)
         engine_.setFullTick(true);
-    engine_.setTickThreads(cfg_.tick_threads);  // 0 = keep environment
 
     // Memory ports: one DMA port per PE, then the MOMS's ports.
     const std::uint32_t dma_ports = cfg_.num_pes;

@@ -92,9 +92,9 @@ configFingerprint(const AccelConfig& cfg)
     f.mix(cfg.mem.timing.resp_queue_depth);
     f.mix(cfg.mem.timing.capacity_bytes);
     // Observability toggles change run *records* (telemetry summary,
-    // check signatures), so they separate pool entries; engine knobs
-    // (tick_threads, full_tick_engine) are bit-exact by contract and
-    // deliberately NOT mixed in.
+    // check signatures), so they separate pool entries; the engine mode
+    // (full_tick_engine) is bit-exact by contract and deliberately NOT
+    // mixed in.
     f.mix(cfg.telemetry.enabled ? 1 : 0);
     f.mix(cfg.checks.enabled ? 1 : 0);
     f.mix(cfg.checks.enabled ? cfg.checks.watchdog_interval : 0);

@@ -39,7 +39,7 @@ namespace gmoms
 /**
  * Order-independent digest of every AccelConfig field that can change
  * simulation results or run records. Deliberately EXCLUDES
- * tick_threads (results are bit-identical at any thread count) and
+ * full_tick_engine (both engine modes are bit-identical) and
  * output-only knobs (dump paths, labels), so sessions differing only
  * in those share checkpoints. Unit-tested field-by-field in
  * tests/test_checkpoint.cc: any new result-relevant field must be

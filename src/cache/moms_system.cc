@@ -284,8 +284,7 @@ struct MomsSystem::CrossbarPort : public SourcePort
 MomsSystem::MomsSystem(Engine& engine, MemorySystem& mem,
                        std::uint32_t first_mem_port, std::uint32_t num_pes,
                        const MomsConfig& cfg,
-                       const std::string& name_prefix,
-                       int bank_tick_group)
+                       const std::string& name_prefix)
     : Component(name_prefix + "moms"), engine_(engine), mem_(mem),
       cfg_(cfg),
       num_pes_(num_pes), num_channels_(mem.numChannels())
@@ -322,12 +321,6 @@ MomsSystem::MomsSystem(Engine& engine, MemorySystem& mem,
             }
             ++mem_ports_used_;
             engine.add(shared_banks_.back().get());
-            // Banks qualify for parallel ticking: a bank owns its MSHR
-            // and cache state outright and every queue it touches has
-            // its other endpoint outside the bank group (crossbar,
-            // PE, or a DRAM channel port).
-            engine.setTickGroup(shared_banks_.back().get(),
-                                bank_tick_group);
             // The crossbar (this component) feeds the bank's request
             // queue and drains its response queue.
             shared_banks_.back()->cpuReqIn().setProducer(this);
@@ -390,14 +383,6 @@ MomsSystem::MomsSystem(Engine& engine, MemorySystem& mem,
             }
             private_banks_.back()->connectDownstream(down);
             engine.add(private_banks_.back().get());
-            // Same hazard argument as the shared banks: the private
-            // bank's queue endpoints are its own PE and (via its
-            // adapter) crossbar or DRAM port queues, never another
-            // bank. Note dynaburst interleaves assemblers (serial)
-            // between banks in registration order, which fragments the
-            // due-list runs — parallel spans then simply do not form.
-            engine.setTickGroup(private_banks_.back().get(),
-                                bank_tick_group);
         }
     }
 

@@ -141,13 +141,11 @@ class MomsSystem : public Component
     };
 
     /** @p name_prefix prefixes every component name ("b2." for
-     *  cluster board 2); @p bank_tick_group is the parallel tick group
-     *  of the banks (cluster boards use per-board groups). */
+     *  cluster board 2). */
     MomsSystem(Engine& engine, MemorySystem& mem,
                std::uint32_t first_mem_port, std::uint32_t num_pes,
                const MomsConfig& cfg,
-               const std::string& name_prefix = "",
-               int bank_tick_group = tick_group::kCacheBank);
+               const std::string& name_prefix = "");
     ~MomsSystem() override;
 
     SourcePort& pePort(std::uint32_t pe) { return *pe_ports_[pe]; }

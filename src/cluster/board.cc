@@ -23,9 +23,8 @@ Board::Board(Engine& engine, const AccelConfig& cfg, const AlgoSpec& spec,
     const std::uint32_t dma_ports = cfg_.num_pes;
     const std::uint32_t moms_ports =
         cfg_.moms.memPortsNeeded(cfg_.num_pes);
-    mem_ = std::make_unique<MemorySystem>(
-        engine, cfg_.mem, dma_ports + moms_ports, prefix,
-        tick_group::boardDram(b));
+    mem_ = std::make_unique<MemorySystem>(engine, cfg_.mem,
+                                          dma_ports + moms_ports, prefix);
 
     // The DRAM image holds board-LOCAL node ids; the id-dependent spec
     // callbacks (BFS/SSSP source, PageRank out-degrees) are answered in
@@ -47,8 +46,7 @@ Board::Board(Engine& engine, const AccelConfig& cfg, const AlgoSpec& spec,
     layout_->build(pg_, mem_->store());
 
     moms_ = std::make_unique<MomsSystem>(engine, *mem_, dma_ports,
-                                         cfg_.num_pes, cfg_.moms, prefix,
-                                         tick_group::boardCacheBank(b));
+                                         cfg_.num_pes, cfg_.moms, prefix);
     sched_ = std::make_unique<Scheduler>(pg_, *layout_, numJobs());
 
     for (std::uint32_t p = 0; p < cfg_.num_pes; ++p) {

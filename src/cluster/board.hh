@@ -3,9 +3,7 @@
  * One simulated FPGA board of the cluster: a full copy of the
  * single-board micro-architecture — its own DRAM channels, MOMS
  * hierarchy, PEs, graph image and telemetry sampler — registered on the
- * cluster's shared engine under the name prefix "b<i>." and ticking in
- * its own per-board hazard-free groups (tick_group::boardDram /
- * boardCacheBank).
+ * cluster's shared engine under the name prefix "b<i>.".
  *
  * A Board does not own the iteration loop the way Accelerator::run()
  * does; it exposes the loop's steps (startIteration / iterationDone /

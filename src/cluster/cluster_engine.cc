@@ -323,7 +323,7 @@ runCluster(const AccelConfig& cfg, const CooGraph& g,
         fatal("runCluster: cfg geometry does not match the partition");
 
     // Functional plane: the canonical values, independent of board
-    // count, coordination mode and tick threads.
+    // count and coordination mode.
     const ReferenceResult ref = runReference(global_pg, spec);
 
     ClusterPartition cp(g, cfg.nd, cc);
@@ -331,7 +331,6 @@ runCluster(const AccelConfig& cfg, const CooGraph& g,
     Engine engine;
     if (cfg.full_tick_engine)
         engine.setFullTick(true);
-    engine.setTickThreads(cfg.tick_threads);
 
     BoardLink link(engine, cc, cc.boards);
 

@@ -8,9 +8,8 @@
  *
  *  - The *functional plane* is the canonical runReference() execution
  *    over the GLOBAL partition. It defines the user-facing raw_values
- *    — board-count-, mode- and thread-count-invariant by construction,
- *    so a job's values_checksum is identical across 1..8 boards, BSP
- *    or async, at any GMOMS_TICK_THREADS.
+ *    — board-count- and mode-invariant by construction, so a job's
+ *    values_checksum is identical across 1..8 boards, BSP or async.
  *  - The *timed plane* is the per-board micro-architecture simulation,
  *    which yields cycles, GTEPS, traffic and stall attribution. Its
  *    converged values are verified against the functional plane before

@@ -9,8 +9,7 @@ namespace gmoms
 
 MemorySystem::MemorySystem(Engine& engine, const MemSubstrateConfig& cfg,
                            std::uint32_t num_ports,
-                           const std::string& name_prefix,
-                           int dram_tick_group)
+                           const std::string& name_prefix)
     : cfg_(cfg)
 {
     if (cfg_.channels == 0)
@@ -28,10 +27,6 @@ MemorySystem::MemorySystem(Engine& engine, const MemSubstrateConfig& cfg,
             engine, name_prefix + cfg_.channelName(c), cfg_.kind,
             cfg_.timing, num_ports));
         engine.add(channels_.back().get());
-        // Channels qualify for parallel ticking: each one touches only
-        // its own bank/bus state and the port queues it is the sole
-        // registered endpoint of (clients live in other tick groups).
-        engine.setTickGroup(channels_.back().get(), dram_tick_group);
     }
     // Each response flag lives in its requester's row: channels (the
     // producers) set bytes of many rows, a port reads only its own.
@@ -49,8 +44,7 @@ MemorySystem::MemorySystem(Engine& engine, const MemSubstrateConfig& cfg,
 MemorySystem::MemorySystem(Engine& engine, const DramConfig& cfg,
                            std::uint32_t num_channels,
                            std::uint32_t num_ports,
-                           const std::string& name_prefix,
-                           int dram_tick_group)
+                           const std::string& name_prefix)
     : MemorySystem(engine,
                    [&] {
                        MemSubstrateConfig s =
@@ -58,7 +52,7 @@ MemorySystem::MemorySystem(Engine& engine, const DramConfig& cfg,
                        s.timing = cfg;
                        return s;
                    }(),
-                   num_ports, name_prefix, dram_tick_group)
+                   num_ports, name_prefix)
 {
 }
 

@@ -89,20 +89,16 @@ class MemorySystem
      * @param num_ports     requester ports replicated on every channel.
      * @param name_prefix   prepended to component names ("b2." for
      *                      cluster board 2; empty single-board).
-     * @param dram_tick_group  parallel tick group for the channels
-     *                      (cluster boards use per-board groups).
      */
     MemorySystem(Engine& engine, const MemSubstrateConfig& cfg,
                  std::uint32_t num_ports,
-                 const std::string& name_prefix = "",
-                 int dram_tick_group = tick_group::kDram);
+                 const std::string& name_prefix = "");
 
     /** Convenience: @p num_channels DDR4 channels with @p cfg timing
      *  at the default 2 KiB interleave (micro tests/benches). */
     MemorySystem(Engine& engine, const DramConfig& cfg,
                  std::uint32_t num_channels, std::uint32_t num_ports,
-                 const std::string& name_prefix = "",
-                 int dram_tick_group = tick_group::kDram);
+                 const std::string& name_prefix = "");
 
     /** Channel that owns byte address @p addr. */
     std::uint32_t

@@ -1,18 +1,25 @@
 #include "src/obs/json_check.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 
 namespace gmoms
 {
 
-std::uint64_t
-JsonValue::asUint64(std::uint64_t fallback) const
+std::optional<std::uint64_t>
+JsonValue::exactUint64() const
 {
-    if (kind != Kind::Number || raw.empty() || raw[0] == '-' ||
-        raw.find_first_of(".eE") != std::string::npos)
-        return fallback;
-    return std::strtoull(raw.c_str(), nullptr, 10);
+    if (kind != Kind::Number)
+        return std::nullopt;
+    // from_chars takes no sign for an unsigned type, stops at a
+    // fraction or exponent, and reports overflow instead of saturating.
+    const char* end = raw.data() + raw.size();
+    std::uint64_t v = 0;
+    const auto [ptr, ec] = std::from_chars(raw.data(), end, v);
+    if (ec != std::errc() || ptr != end)
+        return std::nullopt;
+    return v;
 }
 
 const JsonValue*

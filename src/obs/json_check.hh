@@ -62,9 +62,17 @@ struct JsonValue
     /** First member named @p key; null when absent or not an object. */
     const JsonValue* find(const std::string& key) const;
 
-    /** The value as an exact uint64 (from the raw lexeme); @p fallback
-     *  when this is not a non-negative integer number. */
-    std::uint64_t asUint64(std::uint64_t fallback = 0) const;
+    /** The value as an exact uint64, read from the raw lexeme; nullopt
+     *  unless the lexeme is a non-negative integer (no sign, fraction
+     *  or exponent) no larger than 2^64-1. */
+    std::optional<std::uint64_t> exactUint64() const;
+
+    /** exactUint64(), or @p fallback when it is nullopt. */
+    std::uint64_t
+    asUint64(std::uint64_t fallback = 0) const
+    {
+        return exactUint64().value_or(fallback);
+    }
 };
 
 /**

@@ -1,5 +1,6 @@
 #include "src/serve/protocol.hh"
 
+#include <limits>
 #include <optional>
 
 #include "src/obs/json_check.hh"
@@ -55,6 +56,8 @@ prepByName(const std::string& name)
 // its problem and leaves @p out untouched, so one response lists every
 // defect of the request (the validateJobSpec() philosophy on the wire).
 
+/** An integer field: only an exact non-negative integer lexeme that
+ *  fits T is accepted, so nothing is rounded, truncated or wrapped. */
 template <typename T>
 void
 readNumber(const JsonValue& req, const std::string& key, T& out,
@@ -63,12 +66,14 @@ readNumber(const JsonValue& req, const std::string& key, T& out,
     const JsonValue* v = req.find(key);
     if (!v)
         return;
-    if (!v->isNumber() || v->number < 0) {
-        problems.push_back("field \"" + key +
-                           "\" must be a non-negative number");
+    const std::optional<std::uint64_t> n = v->exactUint64();
+    if (!n || *n > std::numeric_limits<T>::max()) {
+        problems.push_back(
+            "field \"" + key + "\" must be an integer in [0, " +
+            std::to_string(std::numeric_limits<T>::max()) + "]");
         return;
     }
-    out = static_cast<T>(v->number);
+    out = static_cast<T>(*n);
 }
 
 void
@@ -223,11 +228,13 @@ decodeRequestLine(const std::string& line)
         decodeSubmit(obj, req, out.problems);
     } else if (req.verb == Verb::Poll) {
         const JsonValue* id = obj.find("id");
-        if (!id || !id->isNumber() || id->number < 1)
+        const std::optional<std::uint64_t> n =
+            id ? id->exactUint64() : std::nullopt;
+        if (!n || *n < 1)
             out.problems.push_back(
-                "poll requires a positive numeric \"id\"");
+                "poll requires a positive integer \"id\"");
         else
-            req.poll_id = static_cast<JobId>(id->number);
+            req.poll_id = *n;
     }
     return out;
 }

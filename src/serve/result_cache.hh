@@ -11,10 +11,10 @@
  * Key: `dataset|prep|algo|source|iterations|configFingerprint` — every
  * input that can change the result summary. configFingerprint()
  * (src/accel/checkpoint.hh) covers the resolved AccelConfig including
- * cluster topology, and deliberately *ignores* the bit-exactness knobs
- * (tick_threads, full_tick_engine): a result cached under one engine
- * mode is valid under the other because the engine-equivalence tests
- * pin them bit-identical. The cached value is the full JobRecord result
+ * cluster topology, and deliberately *ignores* the bit-exact engine
+ * mode (full_tick_engine): a result cached under one engine mode is
+ * valid under the other because the engine-equivalence tests pin them
+ * bit-identical. The cached value is the full JobRecord result
  * summary (cycles, edges, DRAM bytes, gteps, values_checksum, replay
  * descriptor), so a hit answers poll() exactly as the cold run did.
  *

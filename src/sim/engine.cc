@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "src/sim/log.hh"
-#include "src/sim/tick_team.hh"
 
 namespace gmoms
 {
@@ -30,37 +29,9 @@ envFullTick()
           "\"");
 }
 
-unsigned
-envTickThreads()
-{
-    const char* e = std::getenv("GMOMS_TICK_THREADS");
-    if (e == nullptr || e[0] == '\0')
-        return 0;
-    const std::string v(e);
-    // Same fail-loudly policy as GMOMS_FULL_TICK: results are
-    // bit-identical at any thread count, so a silently-ignored typo
-    // would be invisible in the output.
-    std::size_t pos = 0;
-    unsigned long n = 0;
-    try {
-        n = std::stoul(v, &pos);
-    } catch (...) {
-        pos = 0;
-    }
-    if (pos != v.size() || n > 64)
-        fatal("GMOMS_TICK_THREADS must be an integer in [0, 64], got "
-              "\"" + v + "\"");
-    return static_cast<unsigned>(n);
-}
-
 } // namespace
 
-Engine::Engine()
-    : full_tick_(envFullTick()), tick_threads_(envTickThreads())
-{
-}
-
-Engine::~Engine() = default;
+Engine::Engine() : full_tick_(envFullTick()) {}
 
 void
 Engine::add(Component* c)
@@ -81,39 +52,6 @@ Engine::add(Component* c)
     due_stamp_.push_back(kCycleNever);
     streak_.push_back(0);
     defer_.push_back(0);
-    group_.push_back(kSerialTickGroup);
-    full_runs_dirty_ = true;
-}
-
-void
-Engine::setTickGroup(Component* c, int group)
-{
-    if (c == nullptr || c->engine_ != this)
-        fatal("Engine::setTickGroup: component not registered with "
-              "this engine");
-    if (group < kSerialTickGroup || group > 127)
-        fatal("Engine::setTickGroup: group id out of range for '" +
-              c->name() + "'");
-    group_[c->engine_index_] = static_cast<std::int8_t>(group);
-    full_runs_dirty_ = true;
-}
-
-void
-Engine::setTickThreads(unsigned n)
-{
-    if (n > 64)
-        fatal("Engine::setTickThreads: at most 64 threads");
-    if (n == 0 || n == tick_threads_)
-        return;  // 0 = "no opinion": keep the environment's setting
-    team_.reset();  // recreated lazily at the next parallel span
-    tick_threads_ = n;
-}
-
-void
-Engine::ensureTeam()
-{
-    if (!team_)
-        team_ = std::make_unique<TickTeam>(*this, tick_threads_);
 }
 
 void
@@ -121,40 +59,19 @@ Engine::requestWake(Component* c, Cycle at)
 {
     if (c == nullptr || c->engine_ != this)
         return;  // unbound/foreign components cannot be ticked anyway
-    if (detail::TickWakeCapture* cap = detail::tls_tick_capture;
-        cap != nullptr && cap->engine == this) {
-        // Mid-parallel-span: record (issuer, target, at) and apply
-        // after the barrier. Wake effects are commutative folds, so
-        // replay order does not matter (see src/sim/tick_team.hh).
-        cap->out->push_back({cap->issuer, c->engine_index_, at});
-        return;
-    }
-    applyWake(c->engine_index_, ticking_ ? due_[due_pos_] : kNoIssuer,
-              at, due_pos_ + 1);
-}
-
-void
-Engine::applyWake(std::size_t i, std::size_t issuer, Cycle at,
-                  std::size_t insert_from)
-{
+    const std::size_t i = c->engine_index_;
     ++stats_.wakes;
-    if (issuer != kNoIssuer && at <= now_) {
+    if (ticking_ && at <= now_) {
         // Same-cycle wakes are only exact for components the legacy
-        // engine would still have ticked after the issuer this cycle
-        // (tick order == registration order). Everything else observes
-        // the event next cycle, exactly as in legacy order.
-        if (i > issuer) {
+        // engine would still have ticked after the current one this
+        // cycle (tick order == registration order). Everything else
+        // observes the event next cycle, exactly as in legacy order.
+        if (i > due_[due_pos_]) {
             if (due_stamp_[i] != now_) {
-                if (i < due_[insert_from - 1])
-                    fatal("tick-group hazard: same-cycle wake for '" +
-                          components_[i]->name() +
-                          "' would insert inside an already-completed "
-                          "parallel span (issuer '" +
-                          components_[issuer]->name() + "')");
                 due_.insert(
                     std::lower_bound(due_.begin() +
                                          static_cast<std::ptrdiff_t>(
-                                             insert_from),
+                                             due_pos_ + 1),
                                      due_.end(), i),
                     i);
                 due_stamp_[i] = now_;
@@ -178,95 +95,8 @@ Engine::wakeAll()
 void
 Engine::tickAllComponents()
 {
-    if (!parallelEnabled()) {
-        for (Component* c : components_)
-            c->tick();
-        return;
-    }
-    // Index order with parallel-group runs dispatched to the team.
-    // ticking_ is false on the full-tick paths, so a serially-applied
-    // wake and a replayed one are both pure calendar min-folds
-    // (issuer = kNoIssuer) — order-insensitive by construction.
-    if (full_runs_dirty_)
-        rebuildFullRuns();
-    for (const FullRun& r : full_runs_) {
-        if (r.parallel) {
-            ensureTeam();
-            team_->runSpan(identity_.data() + r.begin, r.end - r.begin,
-                           /*query_na=*/false);
-            for (unsigned t = 0; t < team_->threads(); ++t)
-                for (const BufferedWake& w : team_->wakesOf(t))
-                    applyWake(w.target, kNoIssuer, w.at, 1);
-        } else {
-            for (std::size_t i = r.begin; i < r.end; ++i)
-                components_[i]->tick();
-        }
-    }
-}
-
-void
-Engine::rebuildFullRuns()
-{
-    const std::size_t n = components_.size();
-    identity_.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        identity_[i] = i;
-    full_runs_.clear();
-    std::size_t i = 0;
-    while (i < n) {
-        std::size_t j = i + 1;
-        while (j < n && group_[j] == group_[i])
-            ++j;
-        const bool par = group_[i] != kSerialTickGroup &&
-                         j - i >= kMinParallelSpan;
-        if (!par && !full_runs_.empty() && !full_runs_.back().parallel)
-            full_runs_.back().end = j;  // merge adjacent serial runs
-        else
-            full_runs_.push_back({i, j, par});
-        i = j;
-    }
-    full_runs_dirty_ = false;
-}
-
-void
-Engine::runParallelSpan(std::size_t begin, std::size_t end)
-{
-    ensureTeam();
-    team_->runSpan(due_.data() + begin, end - begin, /*query_na=*/true);
-    stats_.ticks_executed += end - begin;
-    // Replay buffered wakes. insert_from = end: a due insertion always
-    // lands at or after the span end (targets sorting into the span
-    // would have been ticked mid-span serially — applyWake fails
-    // loudly on that hazard). Positions before `end` never move, so
-    // the span's activity answers below stay position-aligned.
-    for (unsigned t = 0; t < team_->threads(); ++t)
-        for (const BufferedWake& w : team_->wakesOf(t))
-            applyWake(w.target, w.issuer, w.at, end);
-    // Per-component bookkeeping, identical to the serial loop body but
-    // batched after the barrier (each fold only touches wake_[i] of
-    // span members and wake_min_ — commutative across positions).
-    const std::vector<Cycle>& na = team_->activities();
-    for (std::size_t pos = begin; pos < end; ++pos) {
-        const std::size_t i = due_[pos];
-        if (defer_[i] > 0) {
-            --defer_[i];
-            wake_[i] = std::min(wake_[i], now_ + 1);
-        } else {
-            const Cycle v = na[pos - begin];
-            if (v <= now_) {
-                if (streak_[i] < kQueryStreak)
-                    ++streak_[i];
-                else
-                    defer_[i] = kQueryDefer;
-                wake_[i] = std::min(wake_[i], now_ + 1);
-            } else {
-                streak_[i] = 0;
-                if (v != kCycleNever)
-                    wake_[i] = std::min(wake_[i], v);
-            }
-        }
-        wake_min_ = std::min(wake_min_, wake_[i]);
-    }
+    for (Component* c : components_)
+        c->tick();
 }
 
 void
@@ -319,22 +149,6 @@ Engine::tick()
     ticking_ = true;
     due_pos_ = 0;
     while (due_pos_ < due_.size()) {
-        if (parallelEnabled()) {
-            // A contiguous run of same-group due components is one
-            // hazard-free parallel span (group members register
-            // consecutively, so due_ keeps them adjacent).
-            const int g = group_[due_[due_pos_]];
-            if (g != kSerialTickGroup) {
-                std::size_t end = due_pos_ + 1;
-                while (end < due_.size() && group_[due_[end]] == g)
-                    ++end;
-                if (end - due_pos_ >= kMinParallelSpan) {
-                    runParallelSpan(due_pos_, end);
-                    due_pos_ = end;
-                    continue;
-                }
-            }
-        }
         const std::size_t i = due_[due_pos_];
         components_[i]->tick();
         ++stats_.ticks_executed;

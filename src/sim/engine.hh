@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,34 +38,6 @@ namespace gmoms
 {
 
 class Engine;
-class TickTeam;
-
-/** Conventional tick-group ids used by the accelerator model. Group ids
- *  are arbitrary small non-negative ints; these names only document who
- *  uses which (see Engine::setTickGroup for the hazard contract). */
-namespace tick_group
-{
-constexpr int kDram = 0;       //!< all MemChannels (DDR4 or HBM2)
-constexpr int kCacheBank = 1;  //!< all MomsBanks (shared and private)
-
-/** Cluster boards get disjoint per-board groups so one board's banks
- *  never share a parallel span with another board's: board b's DRAM
- *  channels tick in group 2b and its MOMS banks in group 2b+1 (board 0
- *  coincides with the single-board ids above). The hazard contract
- *  holds per board exactly as it does single-board — a board's
- *  components only touch board-local queues; cross-board traffic goes
- *  through the serially-ticked BoardLink. */
-constexpr int
-boardDram(std::uint32_t board)
-{
-    return static_cast<int>(board) * 2;
-}
-constexpr int
-boardCacheBank(std::uint32_t board)
-{
-    return static_cast<int>(board) * 2 + 1;
-}
-} // namespace tick_group
 
 /**
  * Base class for everything that performs work each simulated cycle.
@@ -157,39 +128,12 @@ class Engine
     };
 
     Engine();
-    ~Engine();  //!< out of line: joins the tick team, if any
 
     /**
      * Register a component; rejects null and duplicate registration
      * (a duplicate would silently double-tick) via fatal().
      */
     void add(Component* c);
-
-    /** Components not assigned to any parallel tick group. */
-    static constexpr int kSerialTickGroup = -1;
-
-    /**
-     * Assign @p c to a parallel tick group (kSerialTickGroup opts back
-     * out). Members of the same group may be ticked concurrently when
-     * due in the same cycle, so they must honor the hazard contract:
-     * a grouped component's tick()/nextActivity() may touch only its
-     * own state and queues it is the registered endpoint of — never
-     * another same-group member's queues, the backing store, or any
-     * other shared mutable state. Cross-group and component→engine
-     * effects remain safe: requestWake() calls from inside a parallel
-     * span are buffered and replayed deterministically after the span's
-     * barrier (see src/sim/tick_team.hh).
-     */
-    void setTickGroup(Component* c, int group);
-
-    /**
-     * Size of the tick thread team (0 or 1 = serial). The constructor
-     * seeds this from GMOMS_TICK_THREADS; a nonzero explicit setting
-     * here (e.g. AccelConfig::tick_threads) overrides the environment.
-     * Results are bit-identical to serial at any thread count.
-     */
-    void setTickThreads(unsigned n);
-    unsigned tickThreads() const { return tick_threads_; }
 
     /** Current simulated cycle. */
     Cycle now() const { return now_; }
@@ -271,46 +215,9 @@ class Engine
      *  ticks after the component would first have slept. */
     static constexpr std::uint8_t kQueryDefer = 15;
 
-    /** Minimum same-group run length worth a barrier round-trip. */
-    static constexpr std::size_t kMinParallelSpan = 4;
-    /** Issuer sentinel for calendar-only wakes (engine not mid-cycle). */
-    static constexpr std::size_t kNoIssuer =
-        static_cast<std::size_t>(-1);
-
-    /**
-     * Apply one wake: the shared tail of requestWake() and of the
-     * post-span replay of buffered wakes. @p issuer is the engine index
-     * of the component that issued the wake (kNoIssuer outside tick()),
-     * which decides the same-cycle "ticks later this cycle" insertion;
-     * @p insert_from is the due_ position the sorted insert may start
-     * at (one past the issuer serially, the span end during replay). An
-     * insertion that would land before it means a same-cycle wake
-     * crossed *into* an already-completed parallel span — a hazard
-     * contract violation — and fails loudly.
-     */
-    void applyWake(std::size_t i, std::size_t issuer, Cycle at,
-                   std::size_t insert_from);
-
-    /** Tick due_[begin..end) (one tick group) on the thread team, then
-     *  replay buffered wakes and per-component bookkeeping. */
-    void runParallelSpan(std::size_t begin, std::size_t end);
-
     /** Tick every component in index order (full-tick / adaptive
-     *  spans), using the team for parallel-group index runs. */
+     *  spans). */
     void tickAllComponents();
-
-    void rebuildFullRuns();
-    void ensureTeam();
-    bool parallelEnabled() const { return tick_threads_ >= 2; }
-
-    /** Contiguous component-index run with a uniform parallel verdict
-     *  (precomputed for the full-tick paths). */
-    struct FullRun
-    {
-        std::size_t begin;
-        std::size_t end;
-        bool parallel;
-    };
 
     Cycle now_ = 0;
     Cycle wake_min_ = 0;  //!< cached min of wake_ (see nextWake())
@@ -328,15 +235,6 @@ class Engine
     std::size_t due_pos_ = 0;        //!< current position within due_
     bool ticking_ = false;
     Stats stats_;
-
-    unsigned tick_threads_ = 0;          //!< 0/1 = serial
-    std::vector<std::int8_t> group_;     //!< tick group per component
-    std::unique_ptr<TickTeam> team_;     //!< created at first span
-    bool full_runs_dirty_ = true;
-    std::vector<FullRun> full_runs_;     //!< index runs for full-tick
-    std::vector<std::size_t> identity_;  //!< 0..N-1 (span index base)
-
-    friend class TickTeam;
 };
 
 inline void

@@ -23,8 +23,7 @@
  * skip the empty ones: each queue of the group is bound to one byte of
  * a row (bindOccupancy()) that reads 1 exactly while the queue holds a
  * token, and the poller walks the row with forEachOccupied(). Only the
- * producer sets a flag and only the consumer clears it, which keeps
- * the parallel-tick hazard rule (docs/MODEL.md) intact.
+ * producer sets a flag and only the consumer clears it.
  *
  * Die crossings (Fig. 5 of the paper) are modelled by raising the latency
  * to the crossing delay and ensuring capacity >= latency + 2, mirroring the

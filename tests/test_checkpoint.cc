@@ -184,13 +184,10 @@ TEST(Fingerprint, SeparatesResultRelevantConfigs)
 
 TEST(Fingerprint, IgnoresBitExactEngineKnobs)
 {
-    // tick_threads and full_tick_engine are bit-exact by contract
-    // (pinned by test_tick_parallel and test_engine_skip), so two
-    // configs differing only there must pool together.
+    // full_tick_engine is bit-exact by contract (pinned by
+    // test_engine_skip), so two configs differing only there must pool
+    // together.
     const std::uint64_t h = configFingerprint(smallConfig());
-    AccelConfig threads = smallConfig();
-    threads.tick_threads = 8;
-    EXPECT_EQ(configFingerprint(threads), h);
     AccelConfig full = smallConfig();
     full.full_tick_engine = true;
     EXPECT_EQ(configFingerprint(full), h);

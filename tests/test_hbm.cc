@@ -3,7 +3,7 @@
  * HBM2 pseudo-channel substrate: micro-level channel timing (narrow
  * bus, per-transaction overhead, same-bank turnaround gap, fine
  * interleave) and system-level guarantees (values identical to DDR4,
- * engine-mode and tick-thread bit-exactness, validate() rules).
+ * engine-mode bit-exactness, validate() rules).
  */
 
 #include <gtest/gtest.h>
@@ -212,10 +212,9 @@ TEST(HbmPort, ReceiveFollowsTheRotatedScanOfTheChannels)
 
 RunResult
 runAccel(const CooGraph& g, const AlgoSpec& spec, AccelConfig cfg,
-         bool full_tick = false, unsigned tick_threads = 0)
+         bool full_tick = false)
 {
     cfg.full_tick_engine = full_tick;
-    cfg.tick_threads = tick_threads;
     PartitionedGraph pg(g, 256, 512);
     Accelerator accel(cfg, pg, spec);
     return accel.run();
@@ -257,22 +256,6 @@ TEST(HbmSystem, EngineModesBitExact)
     EXPECT_EQ(full.dram_bytes_written, idle.dram_bytes_written);
     EXPECT_EQ(full.moms_requests, idle.moms_requests);
     EXPECT_EQ(full.pe_raw_stalls, idle.pe_raw_stalls);
-}
-
-TEST(HbmSystem, TickThreadsBitExact)
-{
-    CooGraph g = uniformRandom(900, 6000, 23);
-    addRandomWeights(g, 5);
-    const AlgoSpec spec = AlgoSpec::sssp(0, 6);
-    const RunResult serial = runAccel(g, spec, smallHbm(), false, 1);
-    for (unsigned threads : {2u, 4u}) {
-        const RunResult par =
-            runAccel(g, spec, smallHbm(), false, threads);
-        EXPECT_EQ(serial.cycles, par.cycles)
-            << "tick_threads=" << threads;
-        EXPECT_EQ(serial.raw_values, par.raw_values)
-            << "tick_threads=" << threads;
-    }
 }
 
 TEST(HbmSystem, ValidateRules)

@@ -3,8 +3,8 @@
  * Packed half-word CSR: encoder round-trip against the shard edge
  * lists, size advantage over the plain 32-bit encoding, eligibility
  * at the offset limits and silent fallback beyond them, end-to-end
- * value identity (plain vs packed, engine modes, tick threads, session
- * wiring), and PageRank throughput against the plain encoding.
+ * value identity (plain vs packed, engine modes, session wiring), and
+ * PageRank throughput against the plain encoding.
  */
 
 #include <gtest/gtest.h>
@@ -210,7 +210,7 @@ TEST(PackedCsr, FallsBackOnWideIntervals)
 
 RunResult
 runAccel(const CooGraph& g, const AlgoSpec& spec, bool packed,
-         bool full_tick = false, unsigned tick_threads = 0)
+         bool full_tick = false)
 {
     AccelConfig cfg;
     cfg.num_pes = 4;
@@ -218,7 +218,6 @@ runAccel(const CooGraph& g, const AlgoSpec& spec, bool packed,
     cfg.moms = MomsConfig::twoLevel(4);
     cfg.packed_edges = packed;
     cfg.full_tick_engine = full_tick;
-    cfg.tick_threads = tick_threads;
     PartitionedGraph pg(g, 256, 512);
     Accelerator accel(cfg, pg, spec);
     return accel.run();
@@ -286,22 +285,15 @@ TEST(PackedCsrEndToEnd, SsspWeightedIdenticalToPlain)
     EXPECT_EQ(plain.raw_values, packed.raw_values);
 }
 
-TEST(PackedCsrEndToEnd, EngineModesAndTickThreadsBitExact)
+TEST(PackedCsrEndToEnd, EngineModesBitExact)
 {
     const CooGraph g = rmat(10, 7000, RmatParams{}, 61);
     const AlgoSpec spec = AlgoSpec::scc(g.numNodes(), 4);
-    const RunResult base = runAccel(g, spec, true, false, 1);
-    const RunResult full = runAccel(g, spec, true, true, 1);
+    const RunResult base = runAccel(g, spec, true, false);
+    const RunResult full = runAccel(g, spec, true, true);
     EXPECT_EQ(base.cycles, full.cycles);
     EXPECT_EQ(base.raw_values, full.raw_values);
     EXPECT_EQ(base.dram_bytes_read, full.dram_bytes_read);
-    for (unsigned threads : {2u, 4u}) {
-        const RunResult par = runAccel(g, spec, true, false, threads);
-        EXPECT_EQ(base.cycles, par.cycles)
-            << "tick_threads=" << threads;
-        EXPECT_EQ(base.raw_values, par.raw_values)
-            << "tick_threads=" << threads;
-    }
 }
 
 TEST(PackedCsrEndToEnd, SessionPreprocessingVariants)

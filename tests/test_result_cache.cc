@@ -2,8 +2,8 @@
  * @file
  * Tests for the deterministic result cache (src/serve/result_cache.hh)
  * and its wiring into GraphService: hits return the bit-identical
- * values_checksum of the cold run across the engine-mode x tick-threads
- * matrix (configFingerprint deliberately ignores both knobs), eviction
+ * values_checksum of the cold run under both engine modes
+ * (configFingerprint deliberately ignores the mode), eviction
  * under a tiny budget rebuilds correctly, distinct config fingerprints
  * never collide, cluster (boards > 1) jobs cache correctly, Degraded
  * results are never cached, and batch-mode duplicates queued before
@@ -216,33 +216,29 @@ TEST(ResultCacheUnit, RefreshIsIdempotent)
 // Service integration: the bit-exactness contract
 // ---------------------------------------------------------------------
 
-TEST(ServiceResultCache, HitsAcrossEngineModeAndTickThreads)
+TEST(ServiceResultCache, HitsAcrossEngineModes)
 {
-    // configFingerprint() deliberately ignores full_tick_engine and
-    // tick_threads (both pinned bit-identical by the engine-equivalence
-    // tests), so one cold run must serve repeats under every mode.
+    // configFingerprint() deliberately ignores full_tick_engine (pinned
+    // bit-identical by the engine-equivalence tests), so one cold run
+    // must serve repeats under both modes.
     const std::uint64_t golden = coldChecksum(tinyJob("a", "PageRank"));
 
     ServiceConfig cfg;
     cfg.workers = 2;
     GraphService service(cfg);
 
-    // Cold run under the default engine (full_tick=false, threads=0).
+    // Cold run under the default (idle-aware) engine.
     const auto cold = service.submit(tinyJob("a", "PageRank"));
     ASSERT_TRUE(cold.ok());
     EXPECT_FALSE(cold.from_cache);
     service.drain();
 
-    const bool full_tick[] = {false, true, true, false};
-    const unsigned threads[] = {0, 0, 2, 2};
-    for (int i = 0; i < 4; ++i) {
+    for (bool full_tick : {false, true}) {
         JobSpec spec = tinyJob("a", "PageRank");
-        spec.config->full_tick_engine = full_tick[i];
-        spec.config->tick_threads = threads[i];
+        spec.config->full_tick_engine = full_tick;
         const auto sub = service.submit(spec);
         ASSERT_TRUE(sub.ok());
-        EXPECT_TRUE(sub.from_cache)
-            << "full_tick=" << full_tick[i] << " threads=" << threads[i];
+        EXPECT_TRUE(sub.from_cache) << "full_tick=" << full_tick;
         const auto rec = service.poll(sub.id);
         ASSERT_TRUE(rec.has_value());
         EXPECT_EQ(rec->state, JobState::Completed);
@@ -250,9 +246,9 @@ TEST(ServiceResultCache, HitsAcrossEngineModeAndTickThreads)
         EXPECT_EQ(rec->values_checksum, golden);
     }
     const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.result_cache.hits, 4u);
-    EXPECT_EQ(stats.result_cache_completed, 4u);
-    EXPECT_EQ(stats.completed, 5u);
+    EXPECT_EQ(stats.result_cache.hits, 2u);
+    EXPECT_EQ(stats.result_cache_completed, 2u);
+    EXPECT_EQ(stats.completed, 3u);
     EXPECT_EQ(stats.submitted,
               stats.rejected + stats.completed + stats.degraded +
                   stats.failed);

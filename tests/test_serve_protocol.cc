@@ -287,6 +287,75 @@ TEST(ProtocolV2, DecodeProblemsAccumulate)
     EXPECT_EQ(d.req.v, kProtocolV2);
 }
 
+TEST(ProtocolV2, OutOfRangeOrFractionalNumbersAreBadRequests)
+{
+    // An integer field takes only an exact integer lexeme that fits its
+    // type: a larger or fractional number is never cast (that would
+    // wrap, truncate or fall back to the default), it is one problem
+    // naming the field.
+    const struct
+    {
+        const char* fields;
+        const char* field;
+    } cases[] = {
+        {R"("op":"submit","source":4294967297)", "source"},
+        {R"("op":"submit","boards":4294967298)", "boards"},
+        {R"("op":"submit","iterations":2.9)", "iterations"},
+        {R"("op":"submit","iterations":1e30)", "iterations"},
+        {R"("op":"submit","cycle_budget":1e30)", "cycle_budget"},
+        {R"("op":"submit","cycle_budget":18446744073709551616)",
+         "cycle_budget"},
+        {R"("op":"poll","id":1.9)", "id"},
+    };
+    GraphService service{ServiceConfig{}};
+    bool quit = false;
+    for (const auto& c : cases) {
+        const std::string line =
+            std::string(R"({"v":2,"request_id":"n",)") + c.fields + "}";
+        const std::string named = std::string("\"") + c.field + "\"";
+        const DecodedRequest d = decodeRequestLine(line);
+        ASSERT_EQ(d.problems.size(), 1u) << line;
+        EXPECT_NE(d.problems.front().find(named), std::string::npos)
+            << d.problems.front();
+        const JsonValue resp =
+            parsed(handleRequestLine(service, line, quit));
+        EXPECT_EQ(resp.find("type")->string, "error") << line;
+        EXPECT_EQ(resp.find("error")->find("code")->string,
+                  "bad_request")
+            << line;
+    }
+    EXPECT_EQ(service.stats().submitted, 0u);
+}
+
+TEST(ProtocolV2, IntegerFieldsDecodeUpToTheirTypesMaximum)
+{
+    const DecodedRequest d = decodeRequestLine(
+        R"({"v":2,"request_id":"b","op":"submit","source":4294967295,)"
+        R"("cycle_budget":18446744073709551615})");
+    ASSERT_TRUE(d.ok()) << (d.problems.empty() ? ""
+                                               : d.problems.front());
+    EXPECT_EQ(d.req.spec.source, 4294967295u);
+    EXPECT_EQ(d.req.spec.cycle_budget, 18446744073709551615ull);
+
+    const DecodedRequest poll = decodeRequestLine(
+        R"({"v":2,"request_id":"p","op":"poll",)"
+        R"("id":18446744073709551615})");
+    ASSERT_TRUE(poll.ok());
+    EXPECT_EQ(poll.req.poll_id, 18446744073709551615ull);
+}
+
+TEST(ProtocolV2, AsUint64IsExactOrTheFallback)
+{
+    EXPECT_EQ(parsed("18446744073709551615").asUint64(7),
+              18446744073709551615ull);
+    EXPECT_EQ(parsed("18446744073709551616").asUint64(7), 7u);
+    EXPECT_EQ(parsed("1e3").asUint64(7), 7u);
+    EXPECT_EQ(parsed("2.0").asUint64(7), 7u);
+    EXPECT_EQ(parsed("-1").asUint64(7), 7u);
+    EXPECT_EQ(parsed("\"5\"").asUint64(7), 7u);
+    EXPECT_EQ(parsed("0").asUint64(7), 0u);
+}
+
 TEST(ProtocolV2, RejectionAccumulatesValidationProblems)
 {
     GraphService service{ServiceConfig{}};
