@@ -6,8 +6,10 @@
  * cache-less MOMS configurations, the slowest points of
  * ablation_die_crossing and fig12_hitrate) under both engine modes,
  * checks bit-exact cycle/result agreement, and reports wall-clock
- * speedup. A further section times checkpoint capture/restore/fork on
- * the Fig. 11 reference design point. This is the one bench that opts
+ * speedup. The telemetry and hardening sections time each workload
+ * over several alternating off/on pairs and report medians and IQRs,
+ * checking every run bit-exact. A further section times checkpoint
+ * capture/restore/fork on the Fig. 11 reference design point. This is the one bench that opts
  * the EngineBenchRecorder (bench_common.hh) in to writing: all
  * aggregate numbers, with host_cpus, land in BENCH_engine.json at
  * exit, atomically.
@@ -19,20 +21,134 @@
 using namespace gmoms;
 using namespace gmoms::bench;
 
+namespace
+{
+
+struct Workload
+{
+    std::string name;
+    std::string algo;
+    std::string dataset;
+    AccelConfig config;
+};
+
+/** Off/on pairs per overhead row: one pair per row let host noise
+ *  read the same layer as -15% and +31%. */
+constexpr int kOverheadPairs = 5;
+
+/** Median and interquartile range; quartiles interpolate linearly
+ *  between ranks. */
+struct Spread
+{
+    double median = 0;
+    double iqr = 0;
+};
+
+Spread
+spreadOf(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const auto quantile = [&v](double p) {
+        const double pos = p * static_cast<double>(v.size() - 1);
+        const std::size_t i = static_cast<std::size_t>(pos);
+        const double frac = pos - static_cast<double>(i);
+        return i + 1 < v.size() ? v[i] + frac * (v[i + 1] - v[i]) : v[i];
+    };
+    return {quantile(0.5), quantile(0.75) - quantile(0.25)};
+}
+
+/** Wall time of one workload with an observation-only layer off and
+ *  on. */
+struct Overhead
+{
+    Spread off, on;
+    bool exact = true;  //!< every run reproduced the first off run
+
+    double
+    ratio() const
+    {
+        return off.median > 0 ? on.median / off.median - 1.0 : 0.0;
+    }
+
+    std::vector<std::string>
+    row(const std::string& name) const
+    {
+        return {name,
+                fmt(off.median, 2),
+                fmt(off.iqr, 2),
+                fmt(on.median, 2),
+                fmt(on.iqr, 2),
+                fmt(100.0 * ratio(), 1) + "%"};
+    }
+
+    JsonReport
+    json() const
+    {
+        JsonReport j;
+        j.set("pairs", static_cast<std::uint64_t>(kOverheadPairs))
+            .set("off_median_seconds", off.median)
+            .set("off_iqr_seconds", off.iqr)
+            .set("on_median_seconds", on.median)
+            .set("on_iqr_seconds", on.iqr)
+            .set("overhead", ratio());
+        return j;
+    }
+};
+
+/**
+ * Time @p w kOverheadPairs times each with the layer off and on
+ * (@p enable switches it on), alternating which side runs first so
+ * host drift charges both alike. Every run must reproduce the first
+ * off run's cycles and values, and @p accept must pass every on run.
+ */
+template <typename Enable, typename Accept>
+Overhead
+timeOverhead(const Workload& w, Enable enable, Accept accept)
+{
+    const CooGraph& g = *loadDataset(w.dataset);
+    AccelConfig on_cfg = w.config;
+    enable(on_cfg);
+
+    Overhead o;
+    std::optional<RunResult> ref;
+    std::vector<double> off_s, on_s;
+    auto run = [&](bool on) {
+        RunOutcome r = runOn(g, w.algo, on ? on_cfg : w.config);
+        (on ? on_s : off_s).push_back(r.wall_seconds);
+        if (!ref) {
+            ref = std::move(r.result);
+            return;
+        }
+        if (r.result.cycles != ref->cycles ||
+            r.result.raw_values != ref->raw_values) {
+            std::printf("%s run %zu of %s: %llu cycles, reference "
+                        "%llu\n", on ? "on" : "off",
+                        (on ? on_s : off_s).size(), w.name.c_str(),
+                        static_cast<unsigned long long>(r.result.cycles),
+                        static_cast<unsigned long long>(ref->cycles));
+            o.exact = false;
+        }
+        if (on && !accept(r))
+            o.exact = false;
+    };
+    for (int pair = 0; pair < kOverheadPairs; ++pair) {
+        const bool on_first = pair % 2 == 1;
+        run(on_first);
+        run(!on_first);
+    }
+    o.off = spreadOf(off_s);
+    o.on = spreadOf(on_s);
+    return o;
+}
+
+} // namespace
+
 int
 main()
 {
     EngineBenchRecorder::instance().writeAtExit();
     std::printf("=== Engine speed: idle-aware vs legacy full-tick "
                 "===\n\n");
-
-    struct Workload
-    {
-        std::string name;
-        std::string algo;
-        std::string dataset;
-        AccelConfig config;
-    };
 
     std::vector<Workload> workloads;
     {
@@ -120,51 +236,41 @@ main()
     // free (no sampler component, null probe pointers), and collection
     // on must not change simulation results. The saturated 16-PE
     // workload is the worst case for per-push/pop probe overhead.
-    std::printf("\n=== Telemetry overhead (idle-aware engine) ===\n");
-    Table tele_table(
-        {"workload", "off s", "on s", "overhead", "stall cyc"});
+    std::printf("\n=== Telemetry overhead (idle-aware engine; median "
+                "and IQR of %d off/on pairs) ===\n", kOverheadPairs);
+    Table tele_table({"workload", "off s", "off IQR", "on s", "on IQR",
+                      "overhead", "stall cyc"});
+    JsonReport tele_json;
     bool tele_exact = true;
     for (const Workload& w : workloads) {
-        const CooGraph& g = *loadDataset(w.dataset);
-
-        AccelConfig off = w.config;
-        RunOutcome base = runOn(g, w.algo, off);
-
-        AccelConfig on = w.config;
-        on.telemetry.enabled = true;
-        on.telemetry.label = w.name;
-        RunOutcome instr = runOn(g, w.algo, on);
-
-        if (base.result.cycles != instr.result.cycles ||
-            base.result.raw_values != instr.result.raw_values) {
-            std::printf("TELEMETRY PERTURBED %s: off %llu cycles, "
-                        "on %llu cycles\n", w.name.c_str(),
-                        static_cast<unsigned long long>(
-                            base.result.cycles),
-                        static_cast<unsigned long long>(
-                            instr.result.cycles));
+        std::uint64_t stall_cycles = 0;
+        const Overhead o = timeOverhead(
+            w,
+            [&w](AccelConfig& cfg) {
+                cfg.telemetry.enabled = true;
+                cfg.telemetry.label = w.name;
+            },
+            [&](const RunOutcome& on) {
+                if (!on.result.telemetry) {
+                    std::printf("NO SUMMARY on %s despite telemetry "
+                                "on\n", w.name.c_str());
+                    return false;
+                }
+                stall_cycles = on.result.telemetry->totalStallCycles();
+                return true;
+            });
+        if (!o.exact) {
+            std::printf("TELEMETRY PERTURBED %s\n", w.name.c_str());
             tele_exact = false;
         }
-        if (!instr.result.telemetry) {
-            std::printf("NO SUMMARY on %s despite telemetry on\n",
-                        w.name.c_str());
-            tele_exact = false;
-        }
-
-        const double overhead =
-            base.wall_seconds > 0
-                ? instr.wall_seconds / base.wall_seconds - 1.0
-                : 0.0;
-        tele_table.addRow(
-            {w.name, fmt(base.wall_seconds, 2),
-             fmt(instr.wall_seconds, 2),
-             fmt(100.0 * overhead, 1) + "%",
-             instr.result.telemetry
-                 ? std::to_string(
-                       instr.result.telemetry->totalStallCycles())
-                 : "-"});
+        std::vector<std::string> row = o.row(w.name);
+        row.push_back(std::to_string(stall_cycles));
+        tele_table.addRow(std::move(row));
+        tele_json.set(w.name, JsonReport::Raw{o.json().str()});
     }
     tele_table.print();
+    EngineBenchRecorder::instance().addSection("telemetry_overhead",
+                                               tele_json.str());
     std::printf("\n%s.\n",
                 tele_exact
                     ? "Telemetry left every result bit-identical"
@@ -176,39 +282,26 @@ main()
     // and checks on — watchdog, conservation checkers, shadow-memory
     // verification — must only *observe*, leaving results bit-identical
     // at, per the acceptance bar, <= 5% wall-clock overhead.
-    std::printf("\n=== Hardening overhead (idle-aware engine) ===\n");
-    Table check_table({"workload", "off s", "on s", "overhead"});
+    std::printf("\n=== Hardening overhead (idle-aware engine; median "
+                "and IQR of %d off/on pairs) ===\n", kOverheadPairs);
+    Table check_table(
+        {"workload", "off s", "off IQR", "on s", "on IQR", "overhead"});
+    JsonReport check_json;
     bool check_exact = true;
     for (const Workload& w : workloads) {
-        const CooGraph& g = *loadDataset(w.dataset);
-
-        AccelConfig off = w.config;
-        RunOutcome base = runOn(g, w.algo, off);
-
-        AccelConfig on = w.config;
-        on.checks.enabled = true;
-        RunOutcome hard = runOn(g, w.algo, on);
-
-        if (base.result.cycles != hard.result.cycles ||
-            base.result.raw_values != hard.result.raw_values) {
-            std::printf("CHECKS PERTURBED %s: off %llu cycles, "
-                        "on %llu cycles\n", w.name.c_str(),
-                        static_cast<unsigned long long>(
-                            base.result.cycles),
-                        static_cast<unsigned long long>(
-                            hard.result.cycles));
+        const Overhead o = timeOverhead(
+            w, [](AccelConfig& cfg) { cfg.checks.enabled = true; },
+            [](const RunOutcome&) { return true; });
+        if (!o.exact) {
+            std::printf("CHECKS PERTURBED %s\n", w.name.c_str());
             check_exact = false;
         }
-
-        const double overhead =
-            base.wall_seconds > 0
-                ? hard.wall_seconds / base.wall_seconds - 1.0
-                : 0.0;
-        check_table.addRow({w.name, fmt(base.wall_seconds, 2),
-                            fmt(hard.wall_seconds, 2),
-                            fmt(100.0 * overhead, 1) + "%"});
+        check_table.addRow(o.row(w.name));
+        check_json.set(w.name, JsonReport::Raw{o.json().str()});
     }
     check_table.print();
+    EngineBenchRecorder::instance().addSection("hardening_overhead",
+                                               check_json.str());
     std::printf("\n%s.\n",
                 check_exact
                     ? "The hardening layer left every result "

@@ -62,6 +62,8 @@ MomsBank::tick()
     if (drain_cursor_ != kNoSubentry) {
         ++stats_.drain_busy;
         if (cpu_resp_out_.canPush()) {
+            // Used up before the request pipeline below can append
+            // (an append may move the subentry storage).
             const SubentryStore::Subentry& sub =
                 subentries_.at(drain_cursor_);
             cpu_resp_out_.push(ReadResp{drain_line_ + sub.line_offset,

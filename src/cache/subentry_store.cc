@@ -1,33 +1,40 @@
 #include "src/cache/subentry_store.hh"
 
+#include <algorithm>
+
 #include "src/sim/log.hh"
 
 namespace gmoms
 {
 
-SubentryStore::SubentryStore(std::uint32_t capacity)
+SubentryStore::SubentryStore(std::uint32_t capacity) : capacity_(capacity)
 {
     if (capacity == 0)
         fatal("SubentryStore capacity must be >= 1");
-    pool_.resize(capacity);
-    // Thread the free list through the pool.
-    for (std::uint32_t i = 0; i + 1 < capacity; ++i)
-        pool_[i].next = i + 1;
-    pool_[capacity - 1].next = kNoSubentry;
-    free_head_ = 0;
 }
 
 bool
 SubentryStore::append(MshrEntry& entry, std::uint64_t tag,
                       std::uint32_t client, std::uint16_t line_offset)
 {
-    if (free_head_ == kNoSubentry) {
+    if (full()) {
         ++stats_.alloc_failures;
         return false;
     }
-    const std::uint32_t idx = free_head_;
-    free_head_ = pool_[idx].next;
-    pool_[idx] = Subentry{tag, client, line_offset, kNoSubentry};
+    const Subentry sub{tag, client, line_offset, kNoSubentry};
+    std::uint32_t idx = free_head_;
+    if (idx != kNoSubentry) {
+        free_head_ = pool_[idx].next;
+        pool_[idx] = sub;
+    } else {
+        // No freed slot: build the next never-used one. Growth stops
+        // at capacity, so storage never exceeds what the bank models.
+        idx = static_cast<std::uint32_t>(pool_.size());
+        if (pool_.size() == pool_.capacity())
+            pool_.reserve(std::min<std::size_t>(
+                std::max<std::size_t>(16, 2 * pool_.size()), capacity_));
+        pool_.push_back(sub);
+    }
     if (entry.subentry_head == kNoSubentry) {
         entry.subentry_head = idx;
     } else {

@@ -7,6 +7,14 @@
  * entries chain their subentries through a free-list-managed pool —
  * the RAM-resident equivalent of the paper's URAM subentry buffers
  * (32,768 slots per shared bank, 49,152 per private bank).
+ *
+ * The pool's host storage grows with occupancy: a slot is built the
+ * first time it is needed, so a bank that never has more than k
+ * subentries in flight holds k slots, not its capacity. Slots are
+ * handed out exactly as from a free list threaded through all
+ * capacity() slots up front — freed slots LIFO, then never-used
+ * indices ascending — so indices, stalls and stats do not depend on
+ * how much storage exists.
  */
 
 #ifndef GMOMS_CACHE_SUBENTRY_STORE_HH
@@ -57,6 +65,8 @@ class SubentryStore
         return entry.subentry_head;
     }
 
+    /** Subentry @p index. The reference is valid only until the next
+     *  append(), which may grow (and so move) the storage. */
     const Subentry& at(std::uint32_t index) const
     {
         return pool_[index];
@@ -65,18 +75,20 @@ class SubentryStore
     /** Free one subentry, returning the index of the next in the chain. */
     std::uint32_t free(std::uint32_t index);
 
-    std::uint32_t capacity() const
-    {
-        return static_cast<std::uint32_t>(pool_.size());
-    }
+    std::uint32_t capacity() const { return capacity_; }
     std::uint32_t occupancy() const { return occupancy_; }
-    bool full() const { return free_head_ == kNoSubentry; }
+    bool full() const
+    {
+        return free_head_ == kNoSubentry && pool_.size() == capacity_;
+    }
 
     const Stats& stats() const { return stats_; }
 
   private:
+    /** Every slot handed out so far: its size is the peak occupancy. */
     std::vector<Subentry> pool_;
-    std::uint32_t free_head_ = kNoSubentry;
+    std::uint32_t capacity_;
+    std::uint32_t free_head_ = kNoSubentry;  //!< freed slots, LIFO
     std::uint32_t occupancy_ = 0;
     Stats stats_;
 };

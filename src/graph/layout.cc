@@ -1,6 +1,8 @@
 #include "src/graph/layout.hh"
 
 #include <algorithm>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "src/sim/log.hh"
@@ -12,60 +14,108 @@ namespace
 {
 
 /**
- * Encode one shard in the packed half-word CSR: edges grouped by
- * source (stable, so each source's destinations keep their plain
- * order), source groups opened by selectors, lines kept
- * self-contained (see packedcsr in layout.hh). Returns the half-word
- * stream padded to whole 64-byte lines; deterministic, so the layout
- * constructor (sizing) and build() (content) agree exactly.
+ * Encodes shards in the packed half-word CSR: edges grouped by source
+ * (stable, so each source's destinations keep their plain order),
+ * source groups opened by selectors, lines kept self-contained (see
+ * packedcsr in layout.hh). Deterministic, so the layout constructor
+ * (sizing) and build() (content) agree exactly.
+ *
+ * One packer serves all shards of a pass: its buffers only grow, to
+ * the largest shard, so encoding a shard allocates nothing. Grouping
+ * is a stable counting sort on src_off over the range of sources the
+ * shard touches, and an insertion sort for shards too small to pay
+ * for the count.
  */
-std::vector<std::uint16_t>
-packShard(const PartitionedGraph& pg, std::uint32_t s, std::uint32_t d,
-          bool weighted)
+class ShardPacker
 {
-    const auto span = pg.shardEdges(s, d);
-    std::vector<Edge> edges(span.begin(), span.end());
-    std::stable_sort(edges.begin(), edges.end(),
-                     [](const Edge& a, const Edge& b) {
-                         return a.src < b.src;
-                     });
-
-    constexpr std::uint32_t hpl = packedcsr::kHalfwordsPerLine;
-    const std::uint32_t dst_units = weighted ? 2 : 1;
-    const NodeId dst_base = pg.dstIntervalBase(d);
-    const NodeId src_base = static_cast<NodeId>(s) * pg.ns();
-
-    std::vector<std::uint16_t> out;
-    out.reserve((edges.size() + hpl) * (dst_units + 1));
-    std::uint32_t open_src = ~0u;
-    for (const Edge& e : edges) {
-        const std::uint32_t dst_off = e.dst - dst_base;
-        const std::uint32_t src_off = e.src - src_base;
-        const std::uint32_t pos = out.size() % hpl;
-        // Lines are self-contained: re-open the source group at every
-        // line start.
-        bool need_sel = pos == 0 || src_off != open_src;
-        if (hpl - pos < (need_sel ? 1 : 0) + dst_units) {
-            while (out.size() % hpl != 0)
-                out.push_back(packedcsr::kPad);
-            need_sel = true;
-        }
-        if (need_sel) {
-            out.push_back(packedcsr::selector(src_off));
-            open_src = src_off;
-        }
-        out.push_back(packedcsr::destination(dst_off));
-        if (weighted)
-            out.push_back(static_cast<std::uint16_t>(e.weight));
+  public:
+    explicit ShardPacker(const PartitionedGraph& pg)
+        : pg_(pg), weighted_(pg.weighted()), counts_(pg.ns(), 0)
+    {
     }
-    // Tail padding; an empty shard still gets one all-pad line so its
-    // edge pointer never carries size zero.
-    if (out.empty())
-        out.push_back(packedcsr::kPad);
-    while (out.size() % hpl != 0)
-        out.push_back(packedcsr::kPad);
-    return out;
-}
+
+    /** Half-word stream of shard E_{s->d}, padded to whole 64-byte
+     *  lines; valid until the next call. */
+    const std::vector<std::uint16_t>&
+    encode(std::uint32_t s, std::uint32_t d)
+    {
+        const NodeId src_base = static_cast<NodeId>(s) * pg_.ns();
+        groupBySource(pg_.shardEdges(s, d), src_base);
+
+        constexpr std::uint32_t hpl = packedcsr::kHalfwordsPerLine;
+        const std::uint32_t dst_units = weighted_ ? 2 : 1;
+        const NodeId dst_base = pg_.dstIntervalBase(d);
+
+        out_.clear();
+        std::uint32_t open_src = ~0u;
+        for (const Edge& e : sorted_) {
+            const std::uint32_t dst_off = e.dst - dst_base;
+            const std::uint32_t src_off = e.src - src_base;
+            const std::uint32_t pos = out_.size() % hpl;
+            // Lines are self-contained: re-open the source group at
+            // every line start.
+            bool need_sel = pos == 0 || src_off != open_src;
+            if (hpl - pos < (need_sel ? 1 : 0) + dst_units) {
+                out_.insert(out_.end(), hpl - pos, packedcsr::kPad);
+                need_sel = true;
+            }
+            if (need_sel) {
+                out_.push_back(packedcsr::selector(src_off));
+                open_src = src_off;
+            }
+            out_.push_back(packedcsr::destination(dst_off));
+            if (weighted_)
+                out_.push_back(static_cast<std::uint16_t>(e.weight));
+        }
+        // Tail padding; an empty shard still gets one all-pad line so
+        // its edge pointer never carries size zero.
+        const std::size_t tail = out_.size() % hpl;
+        if (out_.empty() || tail != 0)
+            out_.insert(out_.end(), hpl - tail, packedcsr::kPad);
+        return out_;
+    }
+
+  private:
+    /** Shards up to this size are insertion-sorted: cheaper than
+     *  counting over the range of sources they touch. */
+    static constexpr std::size_t kInsertionSortMax = 32;
+
+    /** Stable-sort @p edges by source into sorted_. */
+    void
+    groupBySource(std::span<const Edge> edges, NodeId src_base)
+    {
+        sorted_.resize(edges.size());
+        if (edges.size() <= kInsertionSortMax) {
+            for (std::size_t i = 0; i < edges.size(); ++i) {
+                std::size_t j = i;
+                for (; j > 0 && sorted_[j - 1].src > edges[i].src; --j)
+                    sorted_[j] = sorted_[j - 1];
+                sorted_[j] = edges[i];
+            }
+            return;
+        }
+        std::uint32_t lo = pg_.ns(), hi = 0;
+        for (const Edge& e : edges) {
+            const std::uint32_t k = e.src - src_base;
+            ++counts_[k];
+            lo = std::min(lo, k);
+            hi = std::max(hi, k);
+        }
+        // Counts become each source's first output slot.
+        std::uint32_t next = 0;
+        for (std::uint32_t k = lo; k <= hi; ++k)
+            next += std::exchange(counts_[k], next);
+        for (const Edge& e : edges)
+            sorted_[counts_[e.src - src_base]++] = e;
+        std::fill(counts_.begin() + lo, counts_.begin() + hi + 1, 0);
+    }
+
+    const PartitionedGraph& pg_;
+    const bool weighted_;
+    std::vector<std::uint32_t> counts_;  //!< per src_off, zero between
+    std::vector<Edge> sorted_;
+    std::vector<std::uint16_t> out_;
+};
 
 /** Whether the packed encoding can represent @p pg (15-bit offsets,
  *  a reserved all-ones pad word, 16-bit weights). */
@@ -117,9 +167,10 @@ GraphLayout::GraphLayout(const PartitionedGraph& pg, const Options& opts)
     if (packed_) {
         // Exact packed size: the encoder is deterministic, so build()
         // will reproduce these shard extents half-word for half-word.
+        ShardPacker packer(pg);
         for (std::uint32_t d = 0; d < qd_; ++d)
             for (std::uint32_t s = 0; s < qs_; ++s)
-                edge_words += packShard(pg, s, d, weighted_).size() / 2;
+                edge_words += packer.encode(s, d).size() / 2;
     } else {
         const std::uint32_t words_per_edge = weighted_ ? 2 : 1;
         // Each shard: its edges, one terminating edge, padded to 64 B.
@@ -154,11 +205,11 @@ GraphLayout::build(const PartitionedGraph& pg, BackingStore& store)
     const std::uint32_t words_per_edge = weighted_ ? 2 : 1;
     std::uint64_t word = edge_base_ / 4;
     if (packed_) {
+        ShardPacker packer(pg);
         for (std::uint32_t d = 0; d < qd_; ++d) {
             for (std::uint32_t s = 0; s < qs_; ++s) {
                 const std::uint64_t start = word;
-                const std::vector<std::uint16_t> hw =
-                    packShard(pg, s, d, weighted_);
+                const std::vector<std::uint16_t>& hw = packer.encode(s, d);
                 for (std::size_t i = 0; i < hw.size(); i += 2)
                     store.write32(4 * word++,
                                   static_cast<std::uint32_t>(hw[i]) |

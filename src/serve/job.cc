@@ -87,6 +87,12 @@ validateJobSpec(const JobSpec& spec)
             " is outside dataset " + spec.dataset + " (" +
             std::to_string(profile->nodes()) + " nodes)");
 
+    if (spec.max_retries > kMaxRetries)
+        problems.push_back("max_retries " +
+                           std::to_string(spec.max_retries) +
+                           " is above the cap of " +
+                           std::to_string(kMaxRetries));
+
     // Resolve the configuration: explicit config wins over the preset.
     if (spec.config) {
         out.config = *spec.config;

@@ -37,6 +37,11 @@ namespace gmoms::serve
 using JobId = std::uint64_t;
 inline constexpr JobId kInvalidJob = 0;
 
+/** Largest JobSpec::max_retries accepted: a job makes at most
+ *  1 + kMaxRetries attempts on its requested config, so a submit that
+ *  always fails holds a worker for a bounded time. */
+inline constexpr std::uint32_t kMaxRetries = 16;
+
 /** One tenant request: everything needed to run one algorithm once. */
 struct JobSpec
 {
@@ -72,7 +77,8 @@ struct JobSpec
     std::uint64_t cycle_budget = 0;
 
     /** Extra attempts with the *same* config after a failed run before
-     *  the service degrades to its fallback preset. */
+     *  the service degrades to its fallback preset; at most
+     *  kMaxRetries. */
     std::uint32_t max_retries = 1;
 
     /** Run under the PR-4 watchdog (bit-exact either way; on by

@@ -56,21 +56,23 @@ prepByName(const std::string& name)
 // its problem and leaves @p out untouched, so one response lists every
 // defect of the request (the validateJobSpec() philosophy on the wire).
 
-/** An integer field: only an exact non-negative integer lexeme that
- *  fits T is accepted, so nothing is rounded, truncated or wrapped. */
+/** An integer field: only an exact non-negative integer lexeme up to
+ *  @p max (by default T's maximum) is accepted, so nothing is rounded,
+ *  truncated or wrapped. */
 template <typename T>
 void
 readNumber(const JsonValue& req, const std::string& key, T& out,
-           std::vector<std::string>& problems)
+           std::vector<std::string>& problems,
+           std::uint64_t max = std::numeric_limits<T>::max())
 {
     const JsonValue* v = req.find(key);
     if (!v)
         return;
     const std::optional<std::uint64_t> n = v->exactUint64();
-    if (!n || *n > std::numeric_limits<T>::max()) {
-        problems.push_back(
-            "field \"" + key + "\" must be an integer in [0, " +
-            std::to_string(std::numeric_limits<T>::max()) + "]");
+    if (!n || *n > max) {
+        problems.push_back("field \"" + key +
+                           "\" must be an integer in [0, " +
+                           std::to_string(max) + "]");
         return;
     }
     out = static_cast<T>(*n);
@@ -119,7 +121,8 @@ decodeSubmit(const JsonValue& obj, Request& req,
     readNumber(obj, "source", spec.source, problems);
     readNumber(obj, "priority", spec.priority, problems);
     readNumber(obj, "cycle_budget", spec.cycle_budget, problems);
-    readNumber(obj, "max_retries", spec.max_retries, problems);
+    readNumber(obj, "max_retries", spec.max_retries, problems,
+               kMaxRetries);
     readBool(obj, "checks", spec.checks, problems);
     readBool(obj, "telemetry", spec.telemetry, problems);
     readNumber(obj, "boards", spec.boards, problems);

@@ -442,9 +442,10 @@ GraphService::drainerLoop()
             rec.prep_seconds = prep_timer.elapsedSeconds();
 
             // 1 + max_retries attempts as requested, then (optionally)
-            // one degraded attempt on the fallback preset.
+            // one degraded attempt on the fallback preset. The counter
+            // is wider than max_retries, so the loop always ends.
             bool done = false;
-            for (std::uint32_t attempt = 0;
+            for (std::uint64_t attempt = 0;
                  attempt <= spec.max_retries && !done; ++attempt) {
                 if (attempt > 0)
                     ++retries;

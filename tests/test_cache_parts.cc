@@ -254,5 +254,87 @@ TEST(SubentryStore, TracksPeakOccupancy)
     EXPECT_EQ(store.occupancy(), 0u);
 }
 
+TEST(SubentryStore, RecyclesFreedSlotsLifoAndFreshOnesAscending)
+{
+    SubentryStore store(6);
+    EXPECT_EQ(store.capacity(), 6u);
+    MshrEntry a, b, c;
+    // Fresh slots come out in ascending index order.
+    for (std::uint64_t t = 0; t < 3; ++t) {
+        EXPECT_FALSE(store.full());
+        ASSERT_TRUE(store.append(a, t, 0, 0));
+        EXPECT_EQ(a.subentry_tail, t);
+    }
+    // Free slots 0 then 1: the next appends reuse 1, then 0, and only
+    // then build fresh slots 3, 4, 5.
+    std::uint32_t cursor = store.free(store.head(a));
+    EXPECT_EQ(store.free(cursor), 2u);
+    const std::uint32_t want[] = {1, 0, 3, 4, 5};
+    for (std::uint32_t idx : want) {
+        EXPECT_FALSE(store.full());
+        ASSERT_TRUE(store.append(b, 10 + idx, 0, 0));
+        EXPECT_EQ(b.subentry_tail, idx);
+    }
+    // Six of six in use: full exactly at capacity, and the refused
+    // append is counted.
+    EXPECT_EQ(store.occupancy(), 6u);
+    EXPECT_TRUE(store.full());
+    EXPECT_FALSE(store.append(c, 99, 0, 0));
+    EXPECT_EQ(store.stats().alloc_failures, 1u);
+    // b's chain keeps its append order across recycled slots.
+    cursor = store.head(b);
+    for (std::uint32_t idx : want) {
+        ASSERT_EQ(cursor, idx);
+        EXPECT_EQ(store.at(cursor).tag, 10u + idx);
+        cursor = store.at(cursor).next;
+    }
+    EXPECT_EQ(cursor, kNoSubentry);
+    // Freeing slot 2 reopens exactly that slot.
+    EXPECT_EQ(store.free(2), kNoSubentry);
+    EXPECT_FALSE(store.full());
+    ASSERT_TRUE(store.append(c, 99, 0, 0));
+    EXPECT_EQ(store.head(c), 2u);
+    EXPECT_TRUE(store.full());
+    EXPECT_EQ(store.capacity(), 6u);
+    EXPECT_EQ(store.stats().allocations, 9u);
+    EXPECT_EQ(store.stats().peak_occupancy, 6u);
+}
+
+TEST(SubentryStore, HandsOutSlotsLikeAFreeListThreadedUpFront)
+{
+    // Reference: the free list threaded through every slot at
+    // construction (0 -> 1 -> ... -> n-1), popped and pushed at the
+    // head. Random interleavings must get the same index every time.
+    constexpr std::uint32_t kCap = 64;
+    SubentryStore store(kCap);
+    std::vector<std::uint32_t> ref;  // back() is the list head
+    for (std::uint32_t i = kCap; i > 0; --i)
+        ref.push_back(i - 1);
+    std::vector<std::uint32_t> live;
+    Rng rng(5);
+    for (int op = 0; op < 5000; ++op) {
+        if (live.empty() || rng.below(100) < 55) {
+            MshrEntry e;
+            const bool ok = store.append(e, 0, 0, 0);
+            EXPECT_EQ(ok, !ref.empty());
+            if (!ok)
+                continue;
+            EXPECT_EQ(e.subentry_head, ref.back());
+            ref.pop_back();
+            live.push_back(e.subentry_head);
+        } else {
+            const std::size_t k = rng.below(live.size());
+            store.free(live[k]);
+            ref.push_back(live[k]);
+            live[k] = live.back();
+            live.pop_back();
+        }
+        ASSERT_EQ(store.full(), ref.empty());
+        ASSERT_EQ(store.occupancy(), live.size());
+        ASSERT_EQ(store.capacity(), kCap);
+    }
+    EXPECT_GT(store.stats().alloc_failures, 0u);
+}
+
 } // namespace
 } // namespace gmoms

@@ -19,6 +19,7 @@
 #include "src/graph/layout.hh"
 #include "src/graph/reorder.hh"
 #include "src/mem/backing_store.hh"
+#include "src/sim/rng.hh"
 
 namespace gmoms
 {
@@ -204,6 +205,164 @@ TEST(PackedCsr, FallsBackOnWideIntervals)
     EXPECT_FALSE(l.packed());  // silent fallback to plain
     GraphLayout plain(wide, opts(false));
     EXPECT_EQ(l.edgeSectionBytes(), plain.edgeSectionBytes());
+}
+
+// --- encoder against a reference -----------------------------------------
+
+/** The packed encoder in its plainest form: copy the shard,
+ *  stable_sort it by source, encode. The layout's encoder must store
+ *  exactly these half-words, however it orders the edges. */
+std::vector<std::uint16_t>
+referencePackShard(const PartitionedGraph& pg, std::uint32_t s,
+                   std::uint32_t d)
+{
+    const auto span = pg.shardEdges(s, d);
+    std::vector<Edge> edges(span.begin(), span.end());
+    std::stable_sort(edges.begin(), edges.end(),
+                     [](const Edge& a, const Edge& b) {
+                         return a.src < b.src;
+                     });
+
+    constexpr std::uint32_t hpl = packedcsr::kHalfwordsPerLine;
+    const std::uint32_t dst_units = pg.weighted() ? 2 : 1;
+    const NodeId dst_base = pg.dstIntervalBase(d);
+    const NodeId src_base = static_cast<NodeId>(s) * pg.ns();
+
+    std::vector<std::uint16_t> out;
+    std::uint32_t open_src = ~0u;
+    for (const Edge& e : edges) {
+        const std::uint32_t dst_off = e.dst - dst_base;
+        const std::uint32_t src_off = e.src - src_base;
+        const std::uint32_t pos = out.size() % hpl;
+        bool need_sel = pos == 0 || src_off != open_src;
+        if (hpl - pos < (need_sel ? 1 : 0) + dst_units) {
+            while (out.size() % hpl != 0)
+                out.push_back(packedcsr::kPad);
+            need_sel = true;
+        }
+        if (need_sel) {
+            out.push_back(packedcsr::selector(src_off));
+            open_src = src_off;
+        }
+        out.push_back(packedcsr::destination(dst_off));
+        if (pg.weighted())
+            out.push_back(static_cast<std::uint16_t>(e.weight));
+    }
+    if (out.empty())
+        out.push_back(packedcsr::kPad);
+    while (out.size() % hpl != 0)
+        out.push_back(packedcsr::kPad);
+    return out;
+}
+
+/** Half-words a packed layout stored for shard E_{s->d}. */
+std::vector<std::uint16_t>
+storedHalfwords(const GraphLayout& layout, const BackingStore& store,
+                std::uint32_t s, std::uint32_t d)
+{
+    const std::uint64_t p = store.read64(layout.ptrAddr(s, d));
+    const Addr base = 4 * edgeptr::startWord(p);
+    std::vector<std::uint16_t> out;
+    for (std::uint64_t w = 0; w < edgeptr::sizeWords(p); ++w) {
+        const std::uint32_t word = store.read32(base + 4 * w);
+        out.push_back(static_cast<std::uint16_t>(word & 0xffffu));
+        out.push_back(static_cast<std::uint16_t>(word >> 16));
+    }
+    return out;
+}
+
+/** Build a packed layout of @p g and require every shard's stored
+ *  half-words to equal the reference encoder's. */
+void
+expectMatchesReference(const CooGraph& g, std::uint32_t nd,
+                       std::uint32_t ns)
+{
+    const PartitionedGraph pg(g, nd, ns);
+    GraphLayout layout(pg, opts(true));
+    ASSERT_TRUE(layout.packed());
+    BackingStore store;
+    layout.build(pg, store);
+    std::uint64_t halfwords = 0;
+    for (std::uint32_t d = 0; d < pg.qd(); ++d) {
+        for (std::uint32_t s = 0; s < pg.qs(); ++s) {
+            const std::vector<std::uint16_t> want =
+                referencePackShard(pg, s, d);
+            EXPECT_EQ(storedHalfwords(layout, store, s, d), want)
+                << "shard s=" << s << " d=" << d << " ("
+                << pg.shardSize(s, d) << " edges)";
+            halfwords += want.size();
+        }
+    }
+    // The sizing pass agrees with the content pass.
+    EXPECT_EQ(layout.edgeSectionBytes(),
+              alignUp(2 * halfwords, kInterleaveBytes));
+}
+
+/**
+ * 65536 nodes cut at the widest packable intervals (ns 32767, nd
+ * 32768) into six shards of 0, 1, 31, 32, 33 and thousands of edges,
+ * so the encoder meets its small-shard and large-shard sorts and the
+ * largest offsets. Sources repeat heavily and arrive out of order, so
+ * a sort that is not stable reorders a source's destinations.
+ */
+CooGraph
+shardSizeGraph(bool weighted)
+{
+    constexpr NodeId kNs = 32767, kNd = 32768;
+    CooGraph g(65536, weighted);
+    Rng rng(weighted ? 17 : 16);
+    const NodeId hot[] = {0, 1, 7, 4096, kNs - 1};
+    auto add = [&](std::uint32_t s, std::uint32_t d, std::uint32_t n) {
+        for (std::uint32_t i = 0; i < n; ++i) {
+            // Half the edges from a few hot sources, the rest spread.
+            const NodeId src_off =
+                rng.below(2) ? hot[rng.below(5)]
+                             : static_cast<NodeId>(rng.below(kNs));
+            const NodeId dst_off =
+                i == 0 ? kNd - 1 : static_cast<NodeId>(rng.below(kNd));
+            g.addEdge(s * kNs + src_off, d * kNd + dst_off,
+                      weighted ? static_cast<std::uint32_t>(
+                                     rng.below(65536))
+                               : 0);
+        }
+    };
+    add(0, 0, 5000);
+    add(0, 1, 33);
+    add(1, 0, 32);
+    add(1, 1, 31);
+    // The third source interval holds only nodes 65534 and 65535.
+    g.addEdge(65535, 12, weighted ? 65535 : 0);
+    return g;
+}
+
+TEST(PackedCsrEncoder, MatchesReferenceAcrossShardSizes)
+{
+    for (bool weighted : {false, true}) {
+        SCOPED_TRACE(weighted ? "weighted" : "unweighted");
+        const CooGraph g = shardSizeGraph(weighted);
+        const PartitionedGraph pg(g, 32768, 32767);
+        ASSERT_EQ(pg.qs(), 3u);
+        ASSERT_EQ(pg.qd(), 2u);
+        std::vector<std::uint64_t> sizes;
+        for (std::uint32_t d = 0; d < pg.qd(); ++d)
+            for (std::uint32_t s = 0; s < pg.qs(); ++s)
+                sizes.push_back(pg.shardSize(s, d));
+        std::sort(sizes.begin(), sizes.end());
+        EXPECT_EQ(sizes, (std::vector<std::uint64_t>{0, 1, 31, 32, 33,
+                                                     5000}));
+        expectMatchesReference(g, 32768, 32767);
+    }
+}
+
+TEST(PackedCsrEncoder, MatchesReferenceOnManySmallShards)
+{
+    // 4096 shards of a skewed graph: 3785 of at most 32 edges (1264
+    // empty), the rest up to 2062. Then 300 weighted shards of 33 to
+    // 115 edges.
+    expectMatchesReference(rmat(12, 60000, RmatParams{}, 21), 64, 64);
+    CooGraph g = uniformRandom(3000, 25000, 13);
+    addRandomWeights(g, 99);
+    expectMatchesReference(g, 100, 300);
 }
 
 // --- end-to-end ---------------------------------------------------------

@@ -445,6 +445,35 @@ TEST(ServeDeadline, FallbackDisabledFailsTerminally)
               service.stats().submitted);
 }
 
+TEST(ServeDeadline, RetriesStopAtTheCap)
+{
+    ServiceConfig cfg;
+    cfg.workers = 1;
+    cfg.enable_fallback = false;
+    GraphService service(cfg);
+
+    // A budget of one cycle fails every attempt.
+    JobSpec doomed = tinyJob("a", "BFS");
+    doomed.cycle_budget = 1;
+    doomed.max_retries = kMaxRetries;
+    GraphService::Submitted sub = service.submit(doomed);
+    ASSERT_TRUE(sub.ok());
+    service.drain();
+
+    std::optional<JobRecord> rec = service.poll(sub.id);
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_EQ(rec->state, JobState::Failed);
+    EXPECT_EQ(rec->attempts, 17u);
+    EXPECT_EQ(service.stats().retries, 16u);
+
+    // One more is refused up front, naming the field.
+    doomed.max_retries = kMaxRetries + 1;
+    const GraphService::Submitted over = service.submit(doomed);
+    EXPECT_FALSE(over.ok());
+    ASSERT_EQ(over.rejected.size(), 1u);
+    EXPECT_TRUE(anyContains(over.rejected, "max_retries"));
+}
+
 // ---------------------------------------------------------------------
 // GraphService: eviction-transparent results
 // ---------------------------------------------------------------------

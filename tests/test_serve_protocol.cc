@@ -344,6 +344,37 @@ TEST(ProtocolV2, IntegerFieldsDecodeUpToTheirTypesMaximum)
     EXPECT_EQ(poll.req.poll_id, 18446744073709551615ull);
 }
 
+TEST(ProtocolV2, MaxRetriesAboveTheCapIsABadRequest)
+{
+    // Any uint32 used to decode, and a job that always fails then held
+    // a worker through 2^32 attempts.
+    GraphService service{ServiceConfig{}};
+    bool quit = false;
+    for (const char* n : {"4294967295", "17"}) {
+        const std::string line =
+            std::string(R"({"v":2,"request_id":"m","op":"submit",)"
+                        R"("tenant":"t","dataset":"WT","algo":"BFS",)"
+                        R"("cycle_budget":1,"max_retries":)") +
+            n + "}";
+        const DecodedRequest d = decodeRequestLine(line);
+        ASSERT_EQ(d.problems.size(), 1u) << line;
+        EXPECT_NE(d.problems.front().find("\"max_retries\""),
+                  std::string::npos)
+            << d.problems.front();
+        const JsonValue resp =
+            parsed(handleRequestLine(service, line, quit));
+        EXPECT_EQ(resp.find("error")->find("code")->string,
+                  "bad_request")
+            << line;
+    }
+    EXPECT_EQ(service.stats().submitted, 0u);
+
+    const DecodedRequest at_cap = decodeRequestLine(
+        R"({"v":2,"request_id":"c","op":"submit","max_retries":16})");
+    ASSERT_TRUE(at_cap.ok());
+    EXPECT_EQ(at_cap.req.spec.max_retries, kMaxRetries);
+}
+
 TEST(ProtocolV2, AsUint64IsExactOrTheFallback)
 {
     EXPECT_EQ(parsed("18446744073709551615").asUint64(7),
