@@ -34,23 +34,8 @@ Session::Session(std::shared_ptr<const CooGraph> graph,
     // reaches layouts, fingerprints and checkpoints uniformly.
     if (packedCsr(preprocessing))
         config_.packed_edges = true;
-    std::vector<NodeId> perm;
-    switch (basePreprocessing(preprocessing)) {
-      case Preprocessing::Hash:
-        perm = hashCacheLines(src_->numNodes(), nd);
-        break;
-      case Preprocessing::Dbg:
-        perm = dbgReorder(*src_);
-        break;
-      case Preprocessing::DbgHash: {
-        auto dbg = dbgReorder(*src_);
-        perm = composePermutations(
-            dbg, hashCacheLines(src_->numNodes(), nd));
-        break;
-      }
-      default:
-        break;
-    }
+    std::vector<NodeId> perm =
+        preprocessingPermutation(*src_, preprocessing, nd);
     if (!perm.empty()) {
         std::vector<NodeId> inv(src_->numNodes());
         for (NodeId i = 0; i < src_->numNodes(); ++i)

@@ -26,15 +26,20 @@ CooGraph::inDegrees() const
 CooGraph
 CooGraph::relabeled(const std::vector<NodeId>& new_label) const
 {
+    CooGraph out = *this;
+    out.relabel(new_label);
+    return out;
+}
+
+void
+CooGraph::relabel(const std::vector<NodeId>& new_label)
+{
     if (new_label.size() != num_nodes_)
         fatal("relabeled: permutation size mismatch");
-    CooGraph out(num_nodes_, weighted_);
-    out.name = name;
-    out.edges_.reserve(edges_.size());
-    for (const Edge& e : edges_)
-        out.edges_.push_back(
-            Edge{new_label[e.src], new_label[e.dst], e.weight});
-    return out;
+    for (Edge& e : edges_) {
+        e.src = new_label[e.src];
+        e.dst = new_label[e.dst];
+    }
 }
 
 CooGraph

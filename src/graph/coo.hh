@@ -63,6 +63,9 @@ class CooGraph
      */
     CooGraph relabeled(const std::vector<NodeId>& new_label) const;
 
+    /** relabeled(), in place: no edge is copied. */
+    void relabel(const std::vector<NodeId>& new_label);
+
     /** Append the reverse of every edge (undirected handling). */
     CooGraph withReverseEdges() const;
 

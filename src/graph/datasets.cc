@@ -107,7 +107,7 @@ buildDataset(const DatasetProfile& profile, std::uint64_t seed,
         // Model native labelings that scatter communities (Section V-C:
         // FR, MP, RV and the RMATs benefit from DBG because their
         // original labels do not preserve clusters).
-        g = g.relabeled(randomPermutation(g.numNodes(), seed ^ 0xabcdef));
+        g.relabel(randomPermutation(g.numNodes(), seed ^ 0xabcdef));
     }
     g.name = profile.tag;
     return g;

@@ -1,6 +1,7 @@
 #include "src/graph/generator.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 
@@ -70,21 +71,64 @@ powerLaw(NodeId num_nodes, EdgeId num_edges, double alpha, double locality,
         acc += std::pow(static_cast<double>(i) + 1.0, -alpha);
         cum[i] = acc;
     }
-    for (EdgeId e = 0; e < num_edges; ++e) {
-        const double u = rng.uniform() * acc;
-        const auto it = std::lower_bound(cum.begin(), cum.end(), u);
-        const NodeId src =
-            static_cast<NodeId>(std::distance(cum.begin(), it));
-        NodeId dst;
-        if (rng.uniform() < locality && window > 0) {
-            const NodeId lo = src > window / 2 ? src - window / 2 : 0;
-            const NodeId span =
-                std::min<NodeId>(window, num_nodes - lo);
-            dst = lo + static_cast<NodeId>(rng.below(span));
-        } else {
-            dst = static_cast<NodeId>(rng.below(num_nodes));
+    // Guide table over num_nodes equal buckets of [0, acc]: guide[k] is
+    // the first rank whose cum reaches k * acc / num_nodes, so a draw's
+    // search starts next to its answer and takes O(1) expected steps.
+    const NodeId last = num_nodes - 1;
+    const double buckets_per_unit = static_cast<double>(num_nodes) / acc;
+    std::vector<NodeId> guide(num_nodes);
+    for (NodeId k = 0, i = 0; k < num_nodes; ++k) {
+        const double edge = static_cast<double>(k) / buckets_per_unit;
+        while (i < last && cum[i] < edge)
+            ++i;
+        guide[k] = i;
+    }
+
+    // Each edge takes three words, in order: source, locality test,
+    // destination. A batch draws its words first, so the guide and cum
+    // reads of its sources can be prefetched and overlap.
+    constexpr std::size_t kBatch = 256;
+    std::array<std::uint64_t, 3 * kBatch> words;
+    std::array<double, kBatch> draw;
+    std::array<NodeId, kBatch> start;
+    for (EdgeId e = 0; e < num_edges; e += kBatch) {
+        const std::size_t n =
+            static_cast<std::size_t>(std::min<EdgeId>(kBatch, num_edges - e));
+        for (std::size_t j = 0; j < 3 * n; ++j)
+            words[j] = rng.next();
+        for (std::size_t j = 0; j < n; ++j) {
+            draw[j] = Rng::uniformOf(words[3 * j]) * acc;
+            start[j] = static_cast<NodeId>(std::min(
+                draw[j] * buckets_per_unit, static_cast<double>(last)));
+            __builtin_prefetch(&guide[start[j]]);
         }
-        g.addEdge(src, dst);
+        for (std::size_t j = 0; j < n; ++j) {
+            start[j] = guide[start[j]];
+            __builtin_prefetch(&cum[start[j]]);
+        }
+        for (std::size_t j = 0; j < n; ++j) {
+            // The guide entry is only a starting point: walking to the
+            // first rank whose cum reaches the draw gives exactly what
+            // std::lower_bound over cum gives, however the bucket edges
+            // round. A draw never exceeds acc == cum[last].
+            const double u = draw[j];
+            NodeId src = start[j];
+            while (src > 0 && cum[src - 1] >= u)
+                --src;
+            while (src < last && cum[src] < u)
+                ++src;
+            const std::uint64_t dst_word = words[3 * j + 2];
+            NodeId dst;
+            if (Rng::uniformOf(words[3 * j + 1]) < locality && window > 0) {
+                const NodeId lo = src > window / 2 ? src - window / 2 : 0;
+                const NodeId span =
+                    std::min<NodeId>(window, num_nodes - lo);
+                dst = lo + static_cast<NodeId>(Rng::belowOf(dst_word, span));
+            } else {
+                dst = static_cast<NodeId>(Rng::belowOf(dst_word, num_nodes));
+            }
+            g.addEdge(src, dst);
+        }
     }
     return g;
 }

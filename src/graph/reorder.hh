@@ -38,8 +38,9 @@ std::vector<NodeId> hashCacheLines(NodeId num_nodes, std::uint32_t nd);
  */
 std::vector<NodeId> dbgReorder(const CooGraph& g);
 
-/** Compose permutations: apply @p first, then @p second. */
-std::vector<NodeId> composePermutations(const std::vector<NodeId>& first,
+/** Compose permutations: apply @p first, then @p second. The result
+ *  takes over @p first's storage. */
+std::vector<NodeId> composePermutations(std::vector<NodeId> first,
                                         const std::vector<NodeId>& second);
 
 /** Verify that @p perm is a permutation of [0, n). */
@@ -65,15 +66,30 @@ const char* preprocessingName(Preprocessing p);
 bool packedCsr(Preprocessing p);
 
 /** The relabeling component of @p p with the packed flag stripped:
- *  Packed -> None, DbgHashPacked -> DbgHash, everything else itself.
- *  applyPreprocessing() only ever sees base variants. */
+ *  Packed -> None, DbgHashPacked -> DbgHash, everything else itself. */
 Preprocessing basePreprocessing(Preprocessing p);
 
 /**
+ * The node permutation of @p p's relabeling for @p g at destination
+ * intervals of @p nd nodes: Hash and Dbg alone, or DbgHash as
+ * composePermutations(dbgReorder, hashCacheLines). Empty when @p p
+ * keeps the labels (None, Packed).
+ */
+std::vector<NodeId> preprocessingPermutation(const CooGraph& g,
+                                             Preprocessing p,
+                                             std::uint32_t nd);
+
+/**
  * Apply the selected preprocessing to @p g for destination intervals of
- * @p nd nodes; returns the relabeled graph.
+ * @p nd nodes: one relabel by preprocessingPermutation(). The rvalue
+ * overload relabels @p g in place, so no edge is copied. The copying
+ * overload allocates its result after the permutation, not before: a
+ * by-value version that copied first raised the packed HBM PageRank
+ * run's peak RSS by 3.5 MiB through heap placement alone.
  */
 CooGraph applyPreprocessing(const CooGraph& g, Preprocessing p,
+                            std::uint32_t nd);
+CooGraph applyPreprocessing(CooGraph&& g, Preprocessing p,
                             std::uint32_t nd);
 
 } // namespace gmoms

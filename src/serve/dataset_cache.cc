@@ -59,7 +59,7 @@ DatasetCache::get(const std::string& tag, Preprocessing prep,
             nd_hint ? nd_hint
                     : defaultIntervalsFor(g.numNodes(), g.numEdges())
                           .first;
-        CooGraph out = applyPreprocessing(g, prep, nd);
+        CooGraph out = applyPreprocessing(std::move(g), prep, nd);
         out.name = tag;
         DatasetPtr built =
             std::make_shared<const CooGraph>(std::move(out));

@@ -47,20 +47,27 @@ class Rng
     }
 
     /** Uniform value in [0, bound). @p bound must be nonzero. */
-    std::uint64_t
-    below(std::uint64_t bound)
+    std::uint64_t below(std::uint64_t bound) { return belowOf(next(), bound); }
+
+    /** Uniform double in [0, 1). */
+    double uniform() { return uniformOf(next()); }
+
+    /** below()'s value for the word @p word, so batched draws can take
+     *  the words first and convert them later. */
+    static std::uint64_t
+    belowOf(std::uint64_t word, std::uint64_t bound)
     {
         // Lemire-style multiply-shift range reduction (slight bias is
         // irrelevant for workload generation).
         return static_cast<std::uint64_t>(
-            (static_cast<unsigned __int128>(next()) * bound) >> 64);
+            (static_cast<unsigned __int128>(word) * bound) >> 64);
     }
 
-    /** Uniform double in [0, 1). */
-    double
-    uniform()
+    /** uniform()'s value for the word @p word. */
+    static double
+    uniformOf(std::uint64_t word)
     {
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+        return static_cast<double>(word >> 11) * 0x1.0p-53;
     }
 
   private:

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <memory>
 #include <set>
 
+#include "src/accel/session.hh"
 #include "src/graph/coo.hh"
 #include "src/sim/log.hh"
 #include "src/graph/datasets.hh"
@@ -19,6 +23,74 @@ namespace gmoms
 {
 namespace
 {
+
+/** powerLaw() as it was before its guide table: one std::lower_bound
+ *  over the cumulative weights per source. The generator must keep
+ *  producing exactly these edges. */
+CooGraph
+referencePowerLaw(NodeId num_nodes, EdgeId num_edges, double alpha,
+                  double locality, NodeId window, std::uint64_t seed)
+{
+    CooGraph g(num_nodes);
+    Rng rng(seed);
+    std::vector<double> cum(num_nodes);
+    double acc = 0.0;
+    for (NodeId i = 0; i < num_nodes; ++i) {
+        acc += std::pow(static_cast<double>(i) + 1.0, -alpha);
+        cum[i] = acc;
+    }
+    for (EdgeId e = 0; e < num_edges; ++e) {
+        const double u = rng.uniform() * acc;
+        const auto it = std::lower_bound(cum.begin(), cum.end(), u);
+        const NodeId src =
+            static_cast<NodeId>(std::distance(cum.begin(), it));
+        NodeId dst;
+        if (rng.uniform() < locality && window > 0) {
+            const NodeId lo = src > window / 2 ? src - window / 2 : 0;
+            const NodeId span =
+                std::min<NodeId>(window, num_nodes - lo);
+            dst = lo + static_cast<NodeId>(rng.below(span));
+        } else {
+            dst = static_cast<NodeId>(rng.below(num_nodes));
+        }
+        g.addEdge(src, dst);
+    }
+    return g;
+}
+
+/** Index of the first edge where @p a and @p b differ in source,
+ *  destination or weight (or in count); -1 when identical. */
+long
+firstEdgeMismatch(const CooGraph& a, const CooGraph& b)
+{
+    const std::size_t n = std::min(a.numEdges(), b.numEdges());
+    for (std::size_t i = 0; i < n; ++i) {
+        const Edge& x = a.edges()[i];
+        const Edge& y = b.edges()[i];
+        if (x.src != y.src || x.dst != y.dst || x.weight != y.weight)
+            return static_cast<long>(i);
+    }
+    return a.numEdges() == b.numEdges() ? -1 : static_cast<long>(n);
+}
+
+/** FNV-1a over every edge's (src, dst, weight), little-endian. */
+std::uint64_t
+edgeFingerprint(const CooGraph& g)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint32_t v) {
+        for (int byte = 0; byte < 4; ++byte) {
+            h ^= (v >> (8 * byte)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const Edge& e : g.edges()) {
+        mix(e.src);
+        mix(e.dst);
+        mix(e.weight);
+    }
+    return h;
+}
 
 TEST(CooGraph, DegreesAndReverseEdges)
 {
@@ -80,6 +152,36 @@ TEST(Generator, PowerLawLocalityKnobWorks)
     GraphStats sl = computeGraphStats(local);
     GraphStats ss = computeGraphStats(scattered);
     EXPECT_GT(sl.local_edge_fraction, ss.local_edge_fraction + 0.2);
+}
+
+TEST(Generator, PowerLawMatchesLowerBoundReference)
+{
+    // Sizes from a single rank to UK's stand-in; alpha 0 gives equal
+    // weights (integer cum values on exact bucket edges), alpha 3 a cum
+    // that stops growing in its tail (ties); windows of 0 and 1 and
+    // the whole graph are the locality edge cases.
+    for (NodeId n : {1u, 2u, 3u, 1000u, 154'296u}) {
+        for (double alpha : {0.0, 0.6, 0.72, 3.0}) {
+            for (double locality : {0.0, 0.15, 0.8, 1.0}) {
+                for (NodeId window : {0u, 1u, 64u, n}) {
+                    for (std::uint64_t seed : {1u, 2u, 9u}) {
+                        SCOPED_TRACE(::testing::Message()
+                                     << "n " << n << " alpha " << alpha
+                                     << " locality " << locality
+                                     << " window " << window << " seed "
+                                     << seed);
+                        ASSERT_EQ(firstEdgeMismatch(
+                                      powerLaw(n, 3000, alpha, locality,
+                                               window, seed),
+                                      referencePowerLaw(n, 3000, alpha,
+                                                        locality, window,
+                                                        seed)),
+                                  -1);
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(Generator, GridHasExpectedEdges)
@@ -252,12 +354,56 @@ TEST(Reorder, ComposeAppliesInOrder)
 
 TEST(Reorder, ApplyPreprocessingVariants)
 {
-    CooGraph g = rmat(10, 4000, RmatParams{}, 5);
-    for (Preprocessing p : {Preprocessing::None, Preprocessing::Hash,
-                            Preprocessing::Dbg, Preprocessing::DbgHash}) {
-        CooGraph r = applyPreprocessing(g, p, 128);
-        EXPECT_EQ(r.numNodes(), g.numNodes());
-        EXPECT_EQ(r.numEdges(), g.numEdges());
+    // Every variant is one relabel by preprocessingPermutation(), and
+    // must equal the explicit chain: relabel by DBG, then by cache-line
+    // hashing. 4096 nodes at nd 128 make 32 intervals, so hashing moves
+    // nodes; weights must travel with their edges.
+    CooGraph unweighted = rmat(12, 20000, RmatParams{}, 5);
+    CooGraph weighted = unweighted;
+    addRandomWeights(weighted, 11);
+    const std::uint32_t nd =
+        defaultIntervalsFor(unweighted.numNodes(), unweighted.numEdges())
+            .first;
+    ASSERT_LT(nd, unweighted.numNodes());
+    for (const CooGraph* g : {&unweighted, &weighted}) {
+        for (Preprocessing p :
+             {Preprocessing::None, Preprocessing::Hash, Preprocessing::Dbg,
+              Preprocessing::DbgHash, Preprocessing::Packed,
+              Preprocessing::DbgHashPacked}) {
+            SCOPED_TRACE(std::string(preprocessingName(p)) +
+                         (g->weighted() ? " weighted" : " unweighted"));
+            const Preprocessing base = basePreprocessing(p);
+            CooGraph chain = *g;
+            if (base == Preprocessing::Dbg ||
+                base == Preprocessing::DbgHash)
+                chain = chain.relabeled(dbgReorder(chain));
+            if (base == Preprocessing::Hash ||
+                base == Preprocessing::DbgHash)
+                chain = chain.relabeled(
+                    hashCacheLines(chain.numNodes(), nd));
+
+            const CooGraph copied = applyPreprocessing(*g, p, nd);
+            const CooGraph moved = applyPreprocessing(CooGraph(*g), p, nd);
+            for (const CooGraph* r : {&copied, &moved}) {
+                EXPECT_EQ(r->numNodes(), g->numNodes());
+                EXPECT_EQ(r->weighted(), g->weighted());
+                EXPECT_EQ(firstEdgeMismatch(*r, chain), -1);
+            }
+
+            // Session translates ids through the same permutation.
+            const std::vector<NodeId> perm =
+                preprocessingPermutation(*g, p, nd);
+            EXPECT_EQ(perm.empty(), base == Preprocessing::None);
+            const Session session(
+                std::make_shared<const CooGraph>(*g),
+                AccelConfig::preset(MomsConfig::twoLevel(4), /*pes=*/4,
+                                    /*channels=*/2),
+                p);
+            for (NodeId i = 0; i < g->numNodes(); ++i)
+                ASSERT_EQ(session.internalId(i),
+                          perm.empty() ? i : perm[i])
+                    << "node " << i;
+        }
     }
 }
 
@@ -283,6 +429,22 @@ TEST(Datasets, StandInsHaveScaledSizes)
         EXPECT_LT(e.src, g.numNodes());
         EXPECT_LT(e.dst, g.numNodes());
     }
+}
+
+TEST(Datasets, StandInFingerprintsArePinned)
+{
+    // The stand-ins are exact functions of (profile, seed): these edge
+    // fingerprints were recorded from the lower_bound generator.
+    const std::pair<const char*, std::uint64_t> pinned[] = {
+        {"WT", 0x833d9f0c363024d9ull},
+        {"UK", 0xc1e829773a183652ull},
+        {"MP", 0xe8e98fbb5825fc95ull},
+        {"24", 0xb7f4aa180f9a5cb1ull},
+    };
+    for (const auto& [tag, fingerprint] : pinned)
+        EXPECT_EQ(edgeFingerprint(buildDataset(datasetByTag(tag), 1)),
+                  fingerprint)
+            << tag;
 }
 
 TEST(Datasets, WebKeepsLocalitySocialDoesNot)
