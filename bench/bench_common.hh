@@ -349,15 +349,9 @@ runOn(const CooGraph& g, const std::string& algo, AccelConfig cfg)
                           .datasetView(g)
                           .config(std::move(cfg))
                           .build();
-    SessionResult res;
-    if (algo == "PageRank")
-        res = session.pageRank(pagerankIterations());
-    else if (algo == "SCC")
-        res = session.scc(convergenceCap());
-    else if (algo == "SSSP")
-        res = session.sssp(0, convergenceCap());
-    else
-        throw FatalError("unknown algorithm " + algo);
+    SessionResult res = session.run(
+        algo, 0,
+        algo == "PageRank" ? pagerankIterations() : convergenceCap());
     RunOutcome out;
     out.result = std::move(res.run);
     out.engine = res.engine;

@@ -8,15 +8,13 @@
  * checks bit-exact cycle/result agreement, and reports wall-clock
  * speedup. The telemetry and hardening sections time each workload
  * over several alternating off/on pairs and report medians and IQRs,
- * checking every run bit-exact. A further section times checkpoint
- * capture/restore/fork on the Fig. 11 reference design point. This is the one bench that opts
+ * checking every run bit-exact. This is the one bench that opts
  * the EngineBenchRecorder (bench_common.hh) in to writing: all
  * aggregate numbers, with host_cpus, land in BENCH_engine.json at
  * exit, atomically.
  */
 
 #include "bench/bench_common.hh"
-#include "src/accel/checkpoint.hh"
 
 using namespace gmoms;
 using namespace gmoms::bench;
@@ -308,50 +306,6 @@ main()
                       "bit-identical"
                     : "CHECKS CHANGED RESULTS — the hardening layer is "
                       "not observation-only");
-
-    // Checkpoint latency: what the serving layer pays to save a warm
-    // session once versus forking it per job.
-    std::printf("\n=== Warm-session checkpoint: capture / restore / "
-                "fork (Fig. 11 reference, 18/16 two-level 2k) ===\n");
-    const AccelConfig ref_cfg =
-        AccelConfig::preset(MomsConfig::twoLevel(16, 2048), /*pes=*/18,
-                            /*channels=*/4);
-    const CooGraph& ref_g = *loadDataset("WT");
-    Session warm = SessionBuilder()
-                       .datasetView(ref_g)
-                       .config(ref_cfg)
-                       .build();
-    WallTimer capture_timer;
-    SessionCheckpoint cp = SessionCheckpoint::capture(warm);
-    const double capture_s = capture_timer.elapsedSeconds();
-
-    WallTimer restore_timer;
-    Session restored = cp.restore();
-    const double restore_s = restore_timer.elapsedSeconds();
-
-    constexpr int kForks = 1000;
-    WallTimer fork_timer;
-    for (int i = 0; i < kForks; ++i)
-        Session forked = cp.restore();
-    const double fork_avg_s =
-        fork_timer.elapsedSeconds() / static_cast<double>(kForks);
-
-    std::printf("capture (incl. partition warm-up): %.3f ms\n"
-                "first restore:                     %.6f ms\n"
-                "fork (avg of %d):                  %.6f ms\n"
-                "resident bytes:                    %zu\n",
-                capture_s * 1e3, restore_s * 1e3, kForks,
-                fork_avg_s * 1e3, cp.residentBytes());
-
-    JsonReport ckpt;
-    ckpt.set("capture_seconds", capture_s)
-        .set("restore_seconds", restore_s)
-        .set("fork_seconds_avg", fork_avg_s)
-        .set("forks_timed", static_cast<std::uint64_t>(kForks))
-        .set("resident_bytes",
-             static_cast<std::uint64_t>(cp.residentBytes()));
-    EngineBenchRecorder::instance().addSection("checkpoint",
-                                               ckpt.str());
 
     return exact && tele_exact && check_exact ? 0 : 1;
 }

@@ -18,13 +18,12 @@
  * path shows up in the numbers.
  *
  * A hot-repeat section measures the repeat-job path: the same job mix
- * is pushed in batch mode through two services — checkpoint pool and
- * result cache both off (every job cold-builds and simulates) and both
- * on (simulated jobs fork a pooled warm session; repeats are answered
- * from the result cache at dispatch) — asserting per-job bit-identical
- * values_checksums and reporting the jobs/sec ratio and result-cache
- * hits. In `--smoke` mode the checkpoint hit and fork counters are
- * additionally asserted nonzero (CI serve-smoke relies on this).
+ * is pushed in batch mode through two services, the result cache off
+ * (every job simulates) and on (repeats are answered from the result
+ * cache at dispatch); both fork every simulated job from the pool of
+ * warm sessions. It asserts per-job bit-identical values_checksums
+ * and reports the jobs/sec ratio and result-cache hits. The checkpoint
+ * hit counter must be nonzero (CI serve-smoke asserts it too).
  *
  * The TCP section (ISSUE 9) drives the epoll front end with an
  * open-loop pipelined v2-protocol client at several cache-hit ratios:
@@ -150,17 +149,16 @@ struct HotRepeatOutcome
 };
 
 /** Push @p jobs through a fresh service in batch mode, with the
- *  checkpoint pool and result cache both @p warm, and collect the
- *  per-job checksums in submit order. */
+ *  result cache on or off, and collect the per-job checksums in
+ *  submit order. */
 HotRepeatOutcome
-runHotRepeat(const std::vector<JobSpec>& jobs, bool warm)
+runHotRepeat(const std::vector<JobSpec>& jobs, bool result_cache)
 {
     ServiceConfig cfg;
     cfg.start_paused = true;  // batch: measure pure serving throughput
     cfg.max_queue_depth = jobs.size();
     cfg.per_tenant_quota = 0;
-    cfg.enable_checkpoints = warm;
-    cfg.enable_result_cache = warm;
+    cfg.enable_result_cache = result_cache;
     GraphService service(cfg);
 
     std::vector<JobId> ids;
@@ -761,9 +759,9 @@ main(int argc, char** argv)
                 "instead of queueing unboundedly, and every\n"
                 "tiny-budget job comes back Degraded — never lost.\n");
 
-    // --- Hot-repeat: checkpoint pool + result cache off vs on -------
-    std::printf("\n=== Hot-repeat serving: checkpoint pool + result "
-                "cache off vs on ===\n\n");
+    // --- Hot-repeat: result cache off vs on ----------------------
+    std::printf("\n=== Hot-repeat serving: result cache off vs on "
+                "===\n\n");
     const std::vector<JobSpec> hot_jobs =
         hotRepeatJobs(smoke ? 8 : 20);
     const HotRepeatOutcome cold = runHotRepeat(hot_jobs, false);
@@ -772,9 +770,8 @@ main(int argc, char** argv)
     bool hot_failed = false;
     if (cold.checksums != warmed.checksums ||
         cold.checksums.size() != hot_jobs.size()) {
-        std::printf("CHECKSUM MISMATCH: forked or cache-answered jobs "
-                    "did not reproduce cold-built results "
-                    "bit-for-bit\n");
+        std::printf("CHECKSUM MISMATCH: cache-answered jobs did not "
+                    "reproduce simulated results bit-for-bit\n");
         hot_failed = true;
     }
     // The repeat-heavy mix must actually exercise the pool: every
@@ -792,7 +789,7 @@ main(int argc, char** argv)
                                    ? warmed.jobs_per_sec /
                                          cold.jobs_per_sec
                                    : 0.0;
-    Table hot_table({"pool+cache", "jobs", "wall s", "jobs/s",
+    Table hot_table({"result cache", "jobs", "wall s", "jobs/s",
                      "result-cache hits"});
     hot_table.addRow({"off", std::to_string(hot_jobs.size()),
                       fmt(cold.wall_seconds, 3),

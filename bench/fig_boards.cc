@@ -69,14 +69,9 @@ runPoint(const CooGraph& g, const Point& j, const TelemetryCli& cli)
                           .datasetView(g)
                           .config(std::move(cfg))
                           .build();
-    SessionResult res;
-    if (j.algo == "PageRank")
-        res = session.pageRank(pagerankIterations());
-    else if (j.algo == "SCC")
-        res = session.scc(convergenceCap());
-    else
-        res = session.sssp(0, convergenceCap());
-    return res;
+    return session.run(j.algo, 0,
+                       j.algo == "PageRank" ? pagerankIterations()
+                                            : convergenceCap());
 }
 
 } // namespace

@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "src/sim/log.hh"
-
 namespace gmoms
 {
 
@@ -40,13 +38,6 @@ mixBank(Fnv& f, const MomsBankConfig& b)
     f.mix(b.resp_queue_depth);
     f.mix(b.req_latency);
     f.mix(b.resp_latency);
-}
-
-std::size_t
-graphBytes(const CooGraph& g)
-{
-    return g.numEdges() * sizeof(Edge) +
-           static_cast<std::size_t>(g.numNodes()) * sizeof(NodeId);
 }
 
 } // namespace
@@ -113,103 +104,6 @@ configFingerprint(const AccelConfig& cfg)
         f.mix(cfg.cluster.link_max_packet_bytes);
     }
     return f.h;
-}
-
-struct SessionCheckpoint::State
-{
-    std::uint32_t version = kFormatVersion;
-    AccelConfig config;
-    std::uint64_t fingerprint = 0;
-    std::shared_ptr<const CooGraph> src;
-    std::shared_ptr<const std::vector<NodeId>> to_internal;
-    std::shared_ptr<const std::vector<NodeId>> to_original;
-    std::uint32_t weight_seed = 97;
-    std::shared_ptr<const CooGraph> plain;
-    std::shared_ptr<const CooGraph> weighted;
-    std::shared_ptr<const PartitionedGraph> pg_plain;
-    std::shared_ptr<const PartitionedGraph> pg_weighted;
-};
-
-SessionCheckpoint
-SessionCheckpoint::capture(Session& session, bool warm_weighted)
-{
-    session.ensurePlain();
-    if (warm_weighted)
-        session.ensureWeighted();
-
-    auto st = std::make_shared<State>();
-    st->config = session.config_;
-    st->fingerprint = configFingerprint(session.config_);
-    st->src = session.src_;
-    st->to_internal = session.to_internal_;
-    st->to_original = session.to_original_;
-    st->weight_seed = session.weight_seed_;
-    st->plain = session.plain_;
-    st->weighted = session.weighted_;
-    st->pg_plain = session.pg_plain_;
-    st->pg_weighted = session.pg_weighted_;
-
-    SessionCheckpoint cp;
-    cp.state_ = std::move(st);
-    return cp;
-}
-
-Session
-SessionCheckpoint::restore() const
-{
-    if (!state_)
-        fatal("SessionCheckpoint::restore on an empty checkpoint");
-    if (state_->version != kFormatVersion)
-        fatal("SessionCheckpoint: format version " +
-              std::to_string(state_->version) + " does not match " +
-              std::to_string(kFormatVersion));
-    Session s;
-    s.config_ = state_->config;
-    s.src_ = state_->src;
-    s.to_internal_ = state_->to_internal;
-    s.to_original_ = state_->to_original;
-    s.weight_seed_ = state_->weight_seed;
-    s.plain_ = state_->plain;
-    s.weighted_ = state_->weighted;
-    s.pg_plain_ = state_->pg_plain;
-    s.pg_weighted_ = state_->pg_weighted;
-    return s;
-}
-
-std::size_t
-SessionCheckpoint::residentBytes() const
-{
-    if (!state_)
-        return 0;
-    // Approximate and double-count-free: views aliasing src (prep
-    // None) are counted once.
-    std::size_t total = sizeof(State);
-    total += graphBytes(*state_->src);
-    if (state_->plain && state_->plain != state_->src)
-        total += graphBytes(*state_->plain);
-    if (state_->weighted && state_->weighted != state_->src &&
-        state_->weighted != state_->plain)
-        total += graphBytes(*state_->weighted);
-    // A partition re-buckets every edge once plus interval metadata.
-    if (state_->pg_plain)
-        total += graphBytes(*state_->plain);
-    if (state_->pg_weighted)
-        total += graphBytes(*state_->weighted);
-    if (state_->to_internal)
-        total += state_->to_internal->size() * sizeof(NodeId) * 2;
-    return total;
-}
-
-std::uint64_t
-SessionCheckpoint::fingerprint() const
-{
-    return state_ ? state_->fingerprint : 0;
-}
-
-bool
-SessionCheckpoint::hasWeighted() const
-{
-    return state_ && state_->pg_weighted;
 }
 
 std::string

@@ -100,6 +100,43 @@ Session::partition() const
     return *pg_plain_;
 }
 
+const PartitionedGraph&
+Session::weightedPartition() const
+{
+    ensureWeighted();
+    return *pg_weighted_;
+}
+
+namespace
+{
+
+std::size_t
+graphBytes(const CooGraph& g)
+{
+    return g.numEdges() * sizeof(Edge) +
+           static_cast<std::size_t>(g.numNodes()) * sizeof(NodeId);
+}
+
+} // namespace
+
+std::size_t
+Session::residentBytes() const
+{
+    std::size_t total = sizeof(Session) + graphBytes(*src_);
+    if (plain_ && plain_ != src_)
+        total += graphBytes(*plain_);
+    if (weighted_ && weighted_ != src_ && weighted_ != plain_)
+        total += graphBytes(*weighted_);
+    // A partition re-buckets every edge once plus interval metadata.
+    if (pg_plain_)
+        total += graphBytes(*plain_);
+    if (pg_weighted_)
+        total += graphBytes(*weighted_);
+    if (to_internal_)
+        total += to_internal_->size() * sizeof(NodeId) * 2;
+    return total;
+}
+
 NodeId
 Session::internalId(NodeId original) const
 {
@@ -181,6 +218,31 @@ Session::bfs(NodeId source, std::uint32_t max_iterations)
     ensurePlain();
     return runSpec(AlgoSpec::bfs(internalId(source), max_iterations),
                    *plain_, *pg_plain_);
+}
+
+SessionResult
+Session::run(const std::string& algo, NodeId source,
+             std::uint32_t iterations)
+{
+    const std::uint32_t cap = effectiveIterations(algo, iterations);
+    if (algo == "PageRank")
+        return pageRank(cap);
+    if (algo == "SCC")
+        return scc(cap);
+    if (algo == "SSSP")
+        return sssp(source, cap);
+    if (algo == "BFS")
+        return bfs(source, cap);
+    fatal("unknown algorithm \"" + algo +
+          "\" (expected PageRank, SCC, SSSP or BFS)");
+}
+
+std::uint32_t
+effectiveIterations(const std::string& algo, std::uint32_t iterations)
+{
+    if (iterations != 0)
+        return iterations;
+    return algo == "PageRank" ? kPageRankIterations : kMaxIterations;
 }
 
 SessionBuilder&
@@ -302,20 +364,10 @@ SessionBuilder::build() const
 SessionResult
 SessionBuilder::run() const
 {
-    Session session = build();
-    if (algo_ == "PageRank")
-        return session.pageRank(iterations_.value_or(10));
-    if (algo_ == "SCC")
-        return session.scc(iterations_.value_or(1000));
-    if (algo_ == "SSSP")
-        return session.sssp(source_, iterations_.value_or(1000));
-    if (algo_ == "BFS")
-        return session.bfs(source_, iterations_.value_or(1000));
     if (algo_.empty())
         fatal("SessionBuilder::run needs .algo(...): one of PageRank, "
               "SCC, SSSP, BFS");
-    fatal("SessionBuilder: unknown algorithm \"" + algo_ +
-          "\" (expected PageRank, SCC, SSSP or BFS)");
+    return build().run(algo_, source_, iterations_);
 }
 
 } // namespace gmoms

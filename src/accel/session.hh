@@ -12,6 +12,13 @@
  * paper's introduction is exactly when preprocessing reuse matters.
  * `SessionBuilder` is the fluent way to assemble one (and optionally
  * fire a single run).
+ *
+ * Every view, partition and id table a Session builds is a
+ * shared_ptr<const ...>, so copying a warmed Session is O(1) and the
+ * copy shares them all: that copy is the serving layer's checkpoint
+ * fork (serve/checkpoint_pool). Because the simulator is
+ * deterministic, those inputs are a run's whole state, and a copy
+ * simulates bit-identically to the session it was copied from.
  */
 
 #ifndef GMOMS_ACCEL_SESSION_HH
@@ -30,7 +37,6 @@
 namespace gmoms
 {
 
-class SessionCheckpoint;
 struct ClusterReport;
 
 /** One algorithm run's user-facing outcome. */
@@ -82,14 +88,22 @@ class Session
             std::uint32_t weight_seed = 97);
 
     /** PageRank over the session's graph. */
-    SessionResult pageRank(std::uint32_t iterations = 10);
+    SessionResult pageRank(std::uint32_t iterations = kPageRankIterations);
     /** Min-label propagation (the paper's SCC kernel). */
-    SessionResult scc(std::uint32_t max_iterations = 1000);
+    SessionResult scc(std::uint32_t max_iterations = kMaxIterations);
     /** SSSP from @p source (an ORIGINAL-graph node id). */
     SessionResult sssp(NodeId source,
-                       std::uint32_t max_iterations = 1000);
+                       std::uint32_t max_iterations = kMaxIterations);
     /** BFS depth from @p source (an ORIGINAL-graph node id). */
-    SessionResult bfs(NodeId source, std::uint32_t max_iterations = 1000);
+    SessionResult bfs(NodeId source,
+                      std::uint32_t max_iterations = kMaxIterations);
+    /**
+     * Run @p algo by name: "PageRank", "SCC", "SSSP" or "BFS" (fatal
+     * otherwise). @p source is an ORIGINAL id, used by SSSP and BFS;
+     * @p iterations 0 means effectiveIterations()'s default.
+     */
+    SessionResult run(const std::string& algo, NodeId source = 0,
+                      std::uint32_t iterations = 0);
 
     /**
      * Translate a node id of the ORIGINAL graph to the session's
@@ -101,14 +115,21 @@ class Session
 
     /** The plain (relabeled, unweighted) view. */
     const CooGraph& graph() const;
-    /** Partition of the plain view. */
+    /** Partition of the plain view, built on first use. */
     const PartitionedGraph& partition() const;
+    /** Partition of the weighted (SSSP) view, built on first use. */
+    const PartitionedGraph& weightedPartition() const;
+    /** Whether the weighted view and its partition are built. */
+    bool weightedBuilt() const { return pg_weighted_ != nullptr; }
+    /** Approximate bytes of the built views, partitions and id tables;
+     *  a view shared with the source graph counts once. */
+    std::size_t residentBytes() const;
     const AccelConfig& config() const { return config_; }
 
     /** Set the replay recipe prepended to this session's diagnostic
      *  dumps (CheckConfig::replay_context). Result-neutral — the
-     *  context only appears in failure dumps — so checkpoint-forked
-     *  sessions may each carry their own job's descriptor. */
+     *  context only appears in failure dumps — so copies of one warm
+     *  session may each carry their own job's descriptor. */
     void
     setReplayContext(std::string ctx)
     {
@@ -116,8 +137,6 @@ class Session
     }
 
   private:
-    Session() = default;  //!< checkpoint restore only (see fork)
-
     SessionResult runSpec(const AlgoSpec& spec, const CooGraph& g,
                           const PartitionedGraph& pg);
     /** Materialize the plain view + its partition on first use. */
@@ -128,7 +147,7 @@ class Session
     AccelConfig config_;
     std::shared_ptr<const CooGraph> src_;
     /** original -> internal; null means identity (prep None). Shared
-     *  (not copied) across checkpoint forks. */
+     *  (not copied) by Session copies. */
     std::shared_ptr<const std::vector<NodeId>> to_internal_;
     std::shared_ptr<const std::vector<NodeId>> to_original_;
     std::uint32_t weight_seed_ = 97;
@@ -137,9 +156,12 @@ class Session
     mutable std::shared_ptr<const CooGraph> weighted_;
     mutable std::shared_ptr<const PartitionedGraph> pg_plain_;
     mutable std::shared_ptr<const PartitionedGraph> pg_weighted_;
-
-    friend class SessionCheckpoint;
 };
+
+/** @p iterations, or @p algo's default cap when it is 0:
+ *  kPageRankIterations for PageRank, kMaxIterations otherwise. */
+std::uint32_t effectiveIterations(const std::string& algo,
+                                  std::uint32_t iterations);
 
 /**
  * Fluent assembly of a Session, and the one-liner run path:
@@ -172,8 +194,8 @@ class SessionBuilder
 
     /** Algorithm for run(): "PageRank", "SCC", "SSSP" or "BFS". */
     SessionBuilder& algo(std::string name);
-    /** Iteration cap for run(); defaults to 10 for PageRank and 1000
-     *  for the convergence-bound kernels. */
+    /** Iteration cap for run(); 0 (the default) means
+     *  effectiveIterations()'s default for the algorithm. */
     SessionBuilder& iterations(std::uint32_t n);
     /** Source node (ORIGINAL id) for SSSP/BFS; defaults to 0. */
     SessionBuilder& source(NodeId source);
@@ -198,7 +220,7 @@ class SessionBuilder
     Preprocessing prep_ = Preprocessing::None;
     std::uint32_t weight_seed_ = 97;
     std::string algo_;
-    std::optional<std::uint32_t> iterations_;
+    std::uint32_t iterations_ = 0;
     NodeId source_ = 0;
     std::optional<TelemetryConfig> telemetry_cfg_;
     std::optional<bool> telemetry_on_;

@@ -35,6 +35,11 @@ enum class Algorithm { PageRank, Scc, Sssp, Bfs, Wcc };
 /** Unreachable / infinite distance marker for SSSP/BFS. */
 inline constexpr std::uint32_t kInfDist = 0xffffffffu;
 
+/** Default iteration caps: PageRank runs a fixed number of iterations;
+ *  the min-label kernels stop at convergence, so theirs is a bound. */
+inline constexpr std::uint32_t kPageRankIterations = 10;
+inline constexpr std::uint32_t kMaxIterations = 1000;
+
 class AlgoSpec
 {
   public:
@@ -76,21 +81,25 @@ class AlgoSpec
     /** PageRank with the ForeGraph normalized-score optimization: DRAM
      *  holds s_i = d * PR_i / OD_i so the irregular read is 32 bits and
      *  normalization happens once per node in apply(). */
-    static AlgoSpec pageRank(const CooGraph& g,
-                             std::uint32_t iterations = 10);
+    static AlgoSpec pageRank(
+        const CooGraph& g, std::uint32_t iterations = kPageRankIterations);
 
     /** Min-label propagation — the SCC kernel of Table I. */
-    static AlgoSpec scc(NodeId num_nodes, std::uint32_t max_iters = 1000);
+    static AlgoSpec scc(NodeId num_nodes,
+                        std::uint32_t max_iters = kMaxIterations);
 
     /** Single-source shortest paths (weights in [0, 255]). */
-    static AlgoSpec sssp(NodeId source, std::uint32_t max_iters = 1000);
+    static AlgoSpec sssp(NodeId source,
+                         std::uint32_t max_iters = kMaxIterations);
 
     /** BFS depth (extension; = SSSP with unit weights, unweighted). */
-    static AlgoSpec bfs(NodeId source, std::uint32_t max_iters = 1000);
+    static AlgoSpec bfs(NodeId source,
+                        std::uint32_t max_iters = kMaxIterations);
 
     /** Weakly connected components (extension; run on a graph with
      *  reverse edges added). */
-    static AlgoSpec wcc(NodeId num_nodes, std::uint32_t max_iters = 1000);
+    static AlgoSpec wcc(NodeId num_nodes,
+                        std::uint32_t max_iters = kMaxIterations);
 
   private:
     NodeId num_nodes_ = 0;

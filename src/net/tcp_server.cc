@@ -43,9 +43,9 @@ TcpServer::Stats::toJson() const
 namespace
 {
 
-/** The one line an over-limit accept receives before close. Sent in
- *  v2 form: v1 clients never see it unless they hit the limit, and a
- *  parseable structured refusal beats a bare RST either way. */
+/** The one line an over-limit accept receives before close, in the
+ *  protocol's error shape: a parseable structured refusal beats a bare
+ *  RST. */
 std::string
 overloadLine(std::size_t limit)
 {
@@ -214,8 +214,13 @@ TcpServer::Impl::teardown()
 void
 TcpServer::Impl::updateEpollOut(int fd, const Conn& conn)
 {
+    // A connection that saw EOF or overran a frame is read no more: it
+    // only waits to flush its responses and close. Level-triggered
+    // EPOLLIN would otherwise fire on the EOF forever, or keep pulling
+    // a flood into conn.in.
+    const bool reading = !conn.saw_eof && !conn.close_after_flush;
     epoll_event ev{};
-    ev.events = EPOLLIN |
+    ev.events = (reading ? EPOLLIN : 0u) |
                 (conn.out_off < conn.out.size() ? EPOLLOUT : 0u);
     ev.data.fd = fd;
     ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, fd, &ev);

@@ -1,9 +1,9 @@
 /**
  * @file
- * Epoll TCP front end for the serving layer (ISSUE 9 tentpole): a
- * single-threaded nonblocking event loop that speaks newline-delimited
- * protocol lines (src/serve/protocol.hh) over loopback/LAN sockets, so
- * "millions of users" stop meaning "millions of stdin pipes".
+ * Epoll TCP front end for the serving layer: a single-threaded
+ * nonblocking event loop that speaks newline-delimited protocol lines
+ * (src/serve/protocol.hh) over loopback/LAN sockets, so "millions of
+ * users" stop meaning "millions of stdin pipes".
  *
  * Shape: one loop thread owns epoll, the listen socket and every
  * connection; simulations never run on it — the handler (protocol
@@ -21,10 +21,16 @@
  *
  * Robustness contract:
  *  - connection limit: accepts over max_connections are answered with
- *    one v2 "overloaded" error line and closed (counted, never
+ *    one "overloaded" protocol error line and closed (counted, never
  *    silently dropped);
  *  - oversized frames: a line exceeding max_line_bytes kills only that
- *    connection (one misbehaving client cannot balloon server memory);
+ *    connection (one misbehaving client cannot balloon server memory):
+ *    the loop stops reading it, flushes the responses it already owes
+ *    and closes it;
+ *  - half-close: a client that shuts down its write half still gets
+ *    every response to the lines it sent, then EOF. The loop reads
+ *    nothing more from it and waits on EPOLLOUT alone, so a slow
+ *    reader costs no CPU while its responses wait;
  *  - graceful shutdown on drain: a quit request (or shutdown()) stops
  *    accepting, finishes writing every pending response, then closes —
  *    stats().active is 0 after stop, the "no leaked connections"

@@ -3,7 +3,7 @@
 #include <sstream>
 #include <utility>
 
-#include "src/accel/session.hh"
+#include "src/accel/checkpoint.hh"
 
 namespace gmoms::serve
 {
@@ -32,24 +32,25 @@ CheckpointPool::acquire(const std::string& dataset_tag,
         poolKey(dataset_tag, prep, configFingerprint(cfg));
 
     std::lock_guard<std::mutex> lock(mu_);
-    SessionCheckpoint* cp = pool_.find(key);
-    if (cp)
+    Session* warm = pool_.find(key);
+    if (warm)
         ++hits_;
     else
         ++misses_;
-    // Build on a miss; on a hit, re-capture only to add a weighted view
-    // the checkpoint lacks (the first SSSP on a key first used by a
+    // Build on a miss; on a hit, rebuild only to add a weighted view
+    // the pooled session lacks (the first SSSP on a key first used by a
     // plain algorithm), sharing everything already built.
-    if (!cp || (warm_weighted && !cp->hasWeighted())) {
-        Session warm =
-            cp ? cp->restore()
-               : SessionBuilder().dataset(dataset).config(cfg).build();
-        SessionCheckpoint fresh =
-            SessionCheckpoint::capture(warm, warm_weighted);
+    if (!warm || (warm_weighted && !warm->weightedBuilt())) {
+        Session fresh =
+            warm ? *warm
+                 : SessionBuilder().dataset(dataset).config(cfg).build();
+        fresh.partition();
+        if (warm_weighted)
+            fresh.weightedPartition();
         const std::uint64_t bytes = fresh.residentBytes();
-        cp = &pool_.put(key, std::move(fresh), bytes);
+        warm = &pool_.put(key, std::move(fresh), bytes);
     }
-    return cp->restore();
+    return *warm;
 }
 
 CacheStats

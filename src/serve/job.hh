@@ -1,8 +1,7 @@
 /**
  * @file
- * Job model of the serving layer (ISSUE 5 tentpole): what a tenant
- * submits, how it is validated up front, and what a terminal job looks
- * like.
+ * Job model of the serving layer: what a tenant submits, how it is
+ * validated up front, and what a terminal job looks like.
  *
  * A JobSpec names everything one run needs — dataset + preprocessing,
  * algorithm, accelerator preset (or explicit config), priority and a
@@ -10,8 +9,11 @@
  * at admission time. validateJobSpec() accumulates *every* problem
  * (unknown dataset, bad algorithm, out-of-range source, and the full
  * AccelConfig::validateProblems() list of the resolved config) into one
- * structured rejection, mirroring the PR-4 validate() philosophy:
- * reject with the complete story instead of failing mid-run.
+ * structured rejection, mirroring AccelConfig::validate(): reject with
+ * the complete story instead of failing mid-run. The protocol decodes
+ * a JobSpec from a submit line (serve/protocol.hh), and every attempt
+ * runs it on a fork of a pooled warm Session (serve/checkpoint_pool.hh)
+ * through Session::run, the one algorithm dispatch.
  *
  * Deadlines are expressed in *simulated cycles* (the accelerator's own
  * budget), not wall time: a cycle budget is deterministic, so a job
@@ -54,8 +56,9 @@ struct JobSpec
 
     /** "PageRank", "SCC", "SSSP" or "BFS". */
     std::string algo;
-    /** Iteration cap; 0 means the algorithm default (10 for PageRank,
-     *  1000 for the convergence-bound kernels). */
+    /** Iteration cap; 0 means the algorithm default
+     *  (effectiveIterations(): 10 for PageRank, 1000 for the
+     *  convergence-bound kernels). */
     std::uint32_t iterations = 0;
     /** SSSP/BFS source node in the preprocessed dataset's id space. */
     NodeId source = 0;

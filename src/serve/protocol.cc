@@ -25,15 +25,6 @@ jsonStringArray(const std::vector<std::string>& items)
     return out;
 }
 
-std::string
-joined(const std::vector<std::string>& items)
-{
-    std::string out;
-    for (const std::string& s : items)
-        out += (out.empty() ? "" : "; ") + s;
-    return out;
-}
-
 std::optional<Preprocessing>
 prepByName(const std::string& name)
 {
@@ -183,26 +174,17 @@ decodeRequestLine(const std::string& line)
     const JsonValue& obj = *parsed;
 
     // Version + request id first: even a defective request gets a
-    // correctly versioned, matchable error response.
-    if (const JsonValue* v = obj.find("v")) {
-        if (v->isNumber() && v->number == kProtocolV2)
-            req.v = kProtocolV2;
-        else if (v->isNumber() && v->number == kProtocolV1)
-            req.v = kProtocolV1;
-        else
-            out.problems.push_back(
-                "unsupported protocol version \"v\" (expected 1 or 2)");
-    }
-    if (const JsonValue* rid = obj.find("request_id")) {
-        if (rid->isString())
-            req.request_id = rid->string;
-        else
-            out.problems.push_back(
-                "field \"request_id\" must be a string");
-    } else if (req.v == kProtocolV2) {
+    // matchable error response.
+    const JsonValue* v = obj.find("v");
+    if (!v || !v->isNumber() || v->number != kProtocolV2)
         out.problems.push_back(
-            "v2 requests must carry a string \"request_id\"");
-    }
+            "requests must carry protocol version \"v\":2");
+    const JsonValue* rid = obj.find("request_id");
+    if (rid && rid->isString())
+        req.request_id = rid->string;
+    else
+        out.problems.push_back(
+            "requests must carry a string \"request_id\"");
 
     const JsonValue* op = obj.find("op");
     if (!op || !op->isString()) {
@@ -246,10 +228,9 @@ std::string
 encodeRequestLine(const Request& req)
 {
     JsonReport r;
-    if (req.v == kProtocolV2)
-        r.set("v", static_cast<std::uint64_t>(kProtocolV2))
-            .set("request_id", req.request_id);
-    r.set("op", std::string(verbName(req.verb)));
+    r.set("v", static_cast<std::uint64_t>(req.v))
+        .set("request_id", req.request_id)
+        .set("op", std::string(verbName(req.verb)));
     if (req.verb == Verb::Submit) {
         const JobSpec& spec = req.spec;
         r.set("tenant", spec.tenant)
@@ -279,48 +260,28 @@ std::string
 encodeResponseLine(const Response& resp)
 {
     JsonReport r;
-    if (resp.v == kProtocolV2) {
-        r.set("v", static_cast<std::uint64_t>(kProtocolV2))
-            .set("request_id", resp.request_id)
-            .set("op", resp.op);
-        switch (resp.kind) {
-          case Response::Kind::Ok:
-            r.set("type", std::string("ok"));
-            break;
-          case Response::Kind::Error: {
-            r.set("type", std::string("error"));
-            JsonReport err;
-            err.set("code", resp.code)
-                .set("problems",
-                     JsonReport::Raw{jsonStringArray(resp.problems)});
-            if (resp.retry_after_seconds >= 0)
-                err.set("retry_after_seconds",
-                        resp.retry_after_seconds);
-            r.set("error", JsonReport::Raw{err.str()});
-            break;
-          }
-          case Response::Kind::Result:
-            r.set("type", std::string("result"))
-                .set("result", JsonReport::Raw{resp.result.str()});
-            break;
-        }
-        return r.str();
-    }
-
-    // v1: the PR-5 wire shape, bit-compatible for existing clients.
-    r.set("op", resp.op).set("ok", resp.kind != Response::Kind::Error);
-    if (resp.kind == Response::Kind::Error) {
-        if (resp.code == "rejected" || resp.code == "rate_limited") {
-            r.set("rejected",
-                  JsonReport::Raw{jsonStringArray(resp.problems)});
-            if (resp.retry_after_seconds >= 0)
-                r.set("retry_after_seconds", resp.retry_after_seconds);
-        } else {
-            r.set("error", joined(resp.problems));
-        }
-    } else {
-        for (const auto& [key, value] : resp.result.entries())
-            r.set(key, value);
+    r.set("v", static_cast<std::uint64_t>(kProtocolV2))
+        .set("request_id", resp.request_id)
+        .set("op", resp.op);
+    switch (resp.kind) {
+      case Response::Kind::Ok:
+        r.set("type", std::string("ok"));
+        break;
+      case Response::Kind::Error: {
+        r.set("type", std::string("error"));
+        JsonReport err;
+        err.set("code", resp.code)
+            .set("problems",
+                 JsonReport::Raw{jsonStringArray(resp.problems)});
+        if (resp.retry_after_seconds >= 0)
+            err.set("retry_after_seconds", resp.retry_after_seconds);
+        r.set("error", JsonReport::Raw{err.str()});
+        break;
+      }
+      case Response::Kind::Result:
+        r.set("type", std::string("result"))
+            .set("result", JsonReport::Raw{resp.result.str()});
+        break;
     }
     return r.str();
 }
@@ -362,7 +323,6 @@ execute(GraphService& service, const Request& req,
         const std::function<JsonReport()>& net_stats)
 {
     Response resp;
-    resp.v = req.v;
     resp.request_id = req.request_id;
     resp.op = verbName(req.verb);
 
@@ -429,7 +389,6 @@ handleRequestLine(GraphService& service, const std::string& line,
     const DecodedRequest decoded = decodeRequestLine(line);
     if (!decoded.ok()) {
         Response resp;
-        resp.v = decoded.req.v;
         resp.request_id = decoded.req.request_id;
         resp.op = decoded.req.op;
         resp.kind = Response::Kind::Error;

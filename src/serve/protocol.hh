@@ -1,23 +1,17 @@
 /**
  * @file
  * serve::Protocol — the one parser/serializer for the serving wire
- * protocol (ISSUE 9 satellite), shared by the stdin JSON-lines loop,
+ * protocol, shared by the stdin JSON-lines loop,
  * the epoll TCP front end (src/net/) and bench_serve's client. Before
  * this module each front end hand-rolled its own stringly verb
  * dispatch; now the protocol is typed Request/Response structs plus
  * encode/decode functions, and adding a verb means touching exactly
  * one file.
  *
- * Two wire versions ride on one framing (one JSON object per line):
- *
- * v1 (PR 5, kept bit-compatible for existing clients): a bare request
- * object `{"op":"submit",...}`; responses carry `"op"` (echo) and
- * `"ok"`, with `"rejected":[...]` on refused submits and `"error"` on
- * protocol errors.
- *
- * v2 (this PR): every request carries `"v":2` and a client-chosen
- * stable `"request_id"` (echoed verbatim on the response, so pipelined
- * clients can match answers to questions without counting lines).
+ * One wire shape, one JSON object per line. Every request carries
+ * `"v":2` and a client-chosen string `"request_id"` (echoed verbatim on
+ * the response, so pipelined clients can match answers to questions
+ * without counting lines); a line without either is a `bad_request`.
  * Responses are a tagged union on `"type"`:
  *   - `"ok"`                          — verb succeeded, no payload;
  *   - `"error"` + `"error":{"code","problems":[...]}`
@@ -29,9 +23,7 @@
  *   - `"result"` + `"result":{...}`   — verb payload (submit id, poll
  *       job, stats block, drain count).
  *
- * A request without `"v"` is v1 and is answered in v1 form; the
- * round-trip compatibility contract is pinned by
- * tests/test_serve_protocol.cc.
+ * The shapes are pinned by tests/test_serve_protocol.cc.
  */
 
 #ifndef GMOMS_SERVE_PROTOCOL_HH
@@ -47,7 +39,7 @@
 namespace gmoms::serve
 {
 
-inline constexpr int kProtocolV1 = 1;
+/** The wire version every request must carry as `"v"`. */
 inline constexpr int kProtocolV2 = 2;
 
 enum class Verb : std::uint8_t
@@ -62,11 +54,11 @@ enum class Verb : std::uint8_t
 
 const char* verbName(Verb v);
 
-/** A decoded request, independent of wire version. */
+/** A decoded request. */
 struct Request
 {
-    int v = kProtocolV1;
-    std::string request_id;  //!< v2 only; echoed on the response
+    int v = kProtocolV2;     //!< written as "v" by encodeRequestLine
+    std::string request_id;  //!< echoed on the response
     Verb verb = Verb::Unknown;
     std::string op;      //!< raw op text (error echo for unknown verbs)
     JobSpec spec;        //!< Submit
@@ -74,9 +66,8 @@ struct Request
 };
 
 /** decodeRequestLine outcome: the request plus *every* problem found
- *  (accumulated, not first-error). The request's v/request_id are
- *  salvaged even from a bad request so the error response can be
- *  versioned and matched. */
+ *  (accumulated, not first-error). The request_id is salvaged even
+ *  from a bad request so the error response can be matched. */
 struct DecodedRequest
 {
     Request req;
@@ -88,12 +79,10 @@ struct DecodedRequest
 DecodedRequest decodeRequestLine(const std::string& line);
 
 /** Serialize @p req for the wire (no trailing newline): the client
- *  half of the protocol, used by bench_serve and the tests. v1
- *  requests omit v/request_id. */
+ *  half of the protocol, used by bench_serve and the tests. */
 std::string encodeRequestLine(const Request& req);
 
-/** A response, independent of wire version (the encoder renders the
- *  v1 or v2 shape from Request::v). */
+/** A response; encodeResponseLine renders the tagged union. */
 struct Response
 {
     enum class Kind : std::uint8_t
@@ -104,7 +93,6 @@ struct Response
     };
 
     Kind kind = Kind::Ok;
-    int v = kProtocolV1;
     std::string request_id;
     std::string op;
 
@@ -113,8 +101,7 @@ struct Response
     std::vector<std::string> problems;
     double retry_after_seconds = -1;  //!< >= 0 only when rate limited
 
-    // Result payload fields (flattened into the object for v1, nested
-    // under "result" for v2).
+    // Result only: the payload, nested under "result".
     JsonReport result;
 };
 

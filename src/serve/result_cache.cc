@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "src/accel/session.hh"
 #include "src/graph/reorder.hh"
 
 namespace gmoms::serve
@@ -14,12 +15,10 @@ ResultCache::keyFor(const JobSpec& spec, std::uint64_t fingerprint)
     // default") and the explicit default value run the same simulation:
     // canonicalize to the effective cap so both spellings share one
     // entry.
-    const std::uint32_t iters =
-        spec.iterations ? spec.iterations
-                        : (spec.algo == "PageRank" ? 10u : 1000u);
     return spec.dataset + "|" + preprocessingName(spec.prep) + "|" +
            spec.algo + "|s" + std::to_string(spec.source) + "|i" +
-           std::to_string(iters) + "|f" + std::to_string(fingerprint);
+           std::to_string(effectiveIterations(spec.algo, spec.iterations)) +
+           "|f" + std::to_string(fingerprint);
 }
 
 ResultCache::Entry

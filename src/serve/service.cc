@@ -25,16 +25,6 @@ resolveFallback(const ServiceConfig& cfg)
     return fb;
 }
 
-/** The iteration cap the run will actually use (spec 0 = algorithm
- *  default), recorded in replay descriptors. */
-std::uint32_t
-effectiveIterations(const JobSpec& spec)
-{
-    if (spec.iterations)
-        return spec.iterations;
-    return spec.algo == "PageRank" ? 10 : 1000;
-}
-
 /** The attempt's replay recipe: enough to re-run the exact failing
  *  simulation from a fresh process (docs/EXPERIMENTS.md). */
 std::string
@@ -45,7 +35,7 @@ replayFor(const JobSpec& spec, const AccelConfig& cfg,
     rd.dataset = spec.dataset;
     rd.prep = preprocessingName(spec.prep);
     rd.algo = spec.algo;
-    rd.iterations = effectiveIterations(spec);
+    rd.iterations = effectiveIterations(spec.algo, spec.iterations);
     rd.source = spec.source;
     rd.preset = preset;
     rd.config_fingerprint = configFingerprint(cfg);
@@ -104,10 +94,7 @@ ServiceStats::toJson() const
 GraphService::GraphService(ServiceConfig cfg)
     : cfg_(cfg), fallback_config_(resolveFallback(cfg)),
       cache_(cfg.cache_budget_bytes),
-      ckpt_pool_(cfg.enable_checkpoints
-                     ? std::make_unique<CheckpointPool>(
-                           cfg.checkpoint_budget_bytes)
-                     : nullptr),
+      checkpoints_(cfg.checkpoint_budget_bytes),
       result_cache_(cfg.enable_result_cache
                         ? std::make_unique<ResultCache>(
                               cfg.result_cache_budget_bytes)
@@ -273,8 +260,7 @@ GraphService::stats() const
     s.queued = queue_.queued();
     s.running = queue_.running();
     s.cache = cache_.stats();
-    if (ckpt_pool_)
-        s.checkpoints = ckpt_pool_->stats();
+    s.checkpoints = checkpoints_.stats();
     if (result_cache_) {
         // Hits and misses are counted here, where jobs are answered.
         s.result_cache = result_cache_->stats();
@@ -353,35 +339,18 @@ GraphService::runAttempt(const JobSpec& spec, const AccelConfig& cfg,
     // adds no preprocessing; sharing the pointer keeps the graph alive
     // across a concurrent cache eviction. The packed-CSR half of the
     // prep travels on the config instead (the cache only relabels), so
-    // it still keys checkpoints and fingerprints. With the checkpoint
-    // pool on, the session is forked from a pooled warm checkpoint
-    // instead of cold-built: repeat jobs share the partition and
+    // it still keys the pool and fingerprints. The session is a fork
+    // of the pooled warm one: repeat jobs share the partition and
     // simulate on it. The replay context is set per fork
-    // (result-neutral; the pooled checkpoint stores a neutral config).
+    // (result-neutral; the pooled session keeps a neutral config).
     AccelConfig run_cfg = cfg;
     run_cfg.packed_edges = packedCsr(spec.prep);
-    Session session =
-        ckpt_pool_ ? ckpt_pool_->acquire(spec.dataset,
-                                         preprocessingName(spec.prep),
-                                         dataset, run_cfg,
-                                         spec.algo == "SSSP")
-                   : SessionBuilder().dataset(dataset).config(run_cfg)
-                         .build();
+    Session session = checkpoints_.acquire(
+        spec.dataset, preprocessingName(spec.prep), dataset, run_cfg,
+        spec.algo == "SSSP");
     session.setReplayContext(replay);
-
-    SessionResult res;
-    if (spec.algo == "PageRank")
-        res = session.pageRank(spec.iterations ? spec.iterations : 10);
-    else if (spec.algo == "SCC")
-        res = session.scc(spec.iterations ? spec.iterations : 1000);
-    else if (spec.algo == "SSSP")
-        res = session.sssp(spec.source,
-                           spec.iterations ? spec.iterations : 1000);
-    else if (spec.algo == "BFS")
-        res = session.bfs(spec.source,
-                          spec.iterations ? spec.iterations : 1000);
-    else
-        fatal("unknown algorithm " + spec.algo);  // caught upstream
+    const SessionResult res =
+        session.run(spec.algo, spec.source, spec.iterations);
 
     rec.sim_seconds = timer.elapsedSeconds();
     rec.cycles = res.run.cycles;

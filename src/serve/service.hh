@@ -1,14 +1,16 @@
 /**
  * @file
- * GraphService: the serving layer's front door (ISSUE 5 tentpole).
+ * GraphService: the serving layer's front door.
  *
  * Turns the library into a long-running multi-tenant service: tenants
  * submit JobSpecs; the service validates them up front (one structured
  * rejection listing every problem), applies admission control (bounded
  * queue, per-tenant quotas), schedules deterministically by priority
  * with per-tenant fairness (AdmissionQueue), shares datasets through a
- * byte-budgeted LRU DatasetCache, and runs each job on a
- * src/sim/parallel worker pool under the PR-4 watchdog with a
+ * byte-budgeted LRU DatasetCache, answers repeat queries from the
+ * ResultCache, and runs every other job on a src/sim/parallel worker
+ * pool, each attempt on a copy of a pooled warm Session
+ * (CheckpointPool), under the watchdog with a
  * timeout -> retry -> degrade-to-fallback-preset policy. Per-job
  * latency (queue wait, prep, sim, total) feeds LatencyStats; stats()
  * exports p50/p95/p99 + throughput + rejection rate.
@@ -76,14 +78,10 @@ struct ServiceConfig
     /** Dataset-cache byte budget; 0 = unbounded. */
     std::uint64_t cache_budget_bytes = 2048ull << 20;
 
-    /** Serve repeat (dataset, prep, config) jobs from a pool of warm
-     *  session checkpoints: the first job on a key pays the partition
-     *  cost, later jobs fork the checkpoint and simulate on it.
-     *  Checkpoints hold inputs, not results (identical jobs are the
-     *  result cache's). Off = every attempt cold-builds (the
-     *  pre-checkpoint behavior). */
-    bool enable_checkpoints = true;
-    /** Checkpoint-pool resident-byte budget; 0 = unbounded. */
+    /** Resident-byte budget of the pool of warm sessions that every
+     *  attempt forks (CheckpointPool: the first job on a dataset, prep
+     *  and config key pays the partition cost, later jobs copy the
+     *  pooled session and simulate on it); 0 = unbounded. */
     std::uint64_t checkpoint_budget_bytes = 1024ull << 20;
 
     /** Serve repeat queries from the deterministic result cache: a
@@ -136,7 +134,7 @@ struct ServiceStats
     std::uint64_t queued = 0;   //!< admission snapshot at stats() time
     std::uint64_t running = 0;  //!< dispatched, not yet terminal
     CacheStats cache;         //!< the dataset cache
-    CacheStats checkpoints;   //!< zeros when pool disabled
+    CacheStats checkpoints;   //!< the pool of warm sessions
     CacheStats result_cache;  //!< zeros when cache disabled
     RateLimiter::Stats rate;  //!< zeros when limiter off
 
@@ -223,11 +221,6 @@ class GraphService
     ServiceStats stats() const;
 
     DatasetCache& datasetCache() { return cache_; }
-    /** Null when ServiceConfig::enable_checkpoints is false. */
-    const CheckpointPool* checkpointPool() const
-    {
-        return ckpt_pool_.get();
-    }
     /** Null when ServiceConfig::enable_result_cache is false. */
     const ResultCache* resultCache() const
     {
@@ -268,7 +261,7 @@ class GraphService
     const ServiceConfig cfg_;
     const AccelConfig fallback_config_;
     DatasetCache cache_;
-    std::unique_ptr<CheckpointPool> ckpt_pool_;  //!< null = disabled
+    CheckpointPool checkpoints_;
     std::unique_ptr<ResultCache> result_cache_;  //!< null = disabled
     std::unique_ptr<RateLimiter> limiter_;       //!< null = disabled
     ThreadPool pool_;

@@ -47,12 +47,13 @@ ThreadPool::~ThreadPool()
 unsigned
 ThreadPool::parseWorkers(const char* value)
 {
-    if (value == nullptr || value[0] == '\0')
+    // strtoul would also take leading blanks and a sign (and negate
+    // "-1" to ULONG_MAX), so the text must start with a digit.
+    if (value == nullptr || value[0] < '0' || value[0] > '9')
         return 0;
     char* end = nullptr;
     const unsigned long n = std::strtoul(value, &end, 10);
-    if (end == value || *end != '\0' ||
-        n > std::numeric_limits<unsigned>::max())
+    if (*end != '\0' || n > kMaxWorkers)
         return 0;
     return static_cast<unsigned>(n);
 }
@@ -67,8 +68,9 @@ ThreadPool::defaultWorkers()
         // worker per core is exactly the wrong-but-plausible fallback
         // a sweep user would never notice.
         if (n == 0)
-            fatal("GMOMS_JOBS must be a positive integer worker count, "
-                  "got \"" + std::string(env) + "\"");
+            fatal("GMOMS_JOBS must be a worker count in [1, " +
+                  std::to_string(kMaxWorkers) + "], got \"" +
+                  std::string(env) + "\"");
         return n;
     }
     const unsigned hw = std::thread::hardware_concurrency();

@@ -37,6 +37,10 @@ class ThreadPool
   public:
     using Job = std::function<void()>;
 
+    /** Largest worker count accepted from outside the program:
+     *  GMOMS_JOBS (parseWorkers) and gmoms_serve --workers. */
+    static constexpr unsigned kMaxWorkers = 1024;
+
     /**
      * @param workers     Worker threads; 0 means defaultWorkers().
      * @param queue_slots Bounded job-queue capacity; post() blocks
@@ -56,8 +60,9 @@ class ThreadPool
      *  (at least 1). */
     static unsigned defaultWorkers();
 
-    /** Parse a GMOMS_JOBS-style value; 0 for null/empty/invalid
-     *  (meaning "use hardware concurrency"). Exposed for tests. */
+    /** Parse a GMOMS_JOBS-style value: a plain decimal count in
+     *  [1, kMaxWorkers]; 0 for null, empty, invalid or out-of-range
+     *  text. Exposed for tests. */
     static unsigned parseWorkers(const char* value);
 
     /** Process-wide pool used by bench sweeps, sized defaultWorkers(). */

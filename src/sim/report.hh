@@ -68,8 +68,7 @@ class JsonReport
      *  into the output. */
     void write(std::ostream& os) const;
 
-    /** The key/value entries in insertion order (the protocol encoder
-     *  flattens result payloads into v1-shaped responses). */
+    /** The key/value entries in insertion order. */
     const std::vector<std::pair<std::string, Value>>& entries() const
     {
         return entries_;

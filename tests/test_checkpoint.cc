@@ -1,12 +1,12 @@
 /**
  * @file
- * Warm-session checkpoint/restore tests: a restored session must
- * reproduce the original bit-for-bit (the simulator is deterministic,
- * so the snapshot only needs the inputs), every fork must simulate the
- * same result, a failure must repeat on the next fork, the config
- * fingerprint must separate result-relevant configs and ignore
- * result-neutral engine knobs, and a ReplayDescriptor must round-trip
- * through its wire form.
+ * Warm-session tests: a copy of a warmed Session — the serving pool's
+ * checkpoint fork — must reproduce a cold run bit-for-bit (the
+ * simulator is deterministic, so a session's inputs are its whole
+ * state), every copy must simulate the same result, a failure must
+ * repeat on the next copy, the config fingerprint must separate
+ * result-relevant configs and ignore result-neutral engine knobs, and
+ * a ReplayDescriptor must round-trip through its wire form.
  */
 
 #include <gtest/gtest.h>
@@ -39,8 +39,17 @@ makeSession(const CooGraph& g, const AccelConfig& cfg)
         .build();
 }
 
+/** A session with its plain partition built, as the pool keeps it. */
+Session
+warmSession(const CooGraph& g, const AccelConfig& cfg)
+{
+    Session s = makeSession(g, cfg);
+    s.partition();
+    return s;
+}
+
 // ---------------------------------------------------------------------
-// Checkpoint -> restore -> run bit-exactness
+// Warm session -> copy -> run bit-exactness
 // ---------------------------------------------------------------------
 
 TEST(Checkpoint, RestoredSessionReproducesColdRunBitForBit)
@@ -48,7 +57,7 @@ TEST(Checkpoint, RestoredSessionReproducesColdRunBitForBit)
     const CooGraph g = rmat(10, 6000, RmatParams{}, 13);
     // The matrix that matters: both engine modes x observability
     // on/off. Telemetry and checks change what a run *records* (and so
-    // the fingerprint), never its results — the restored session must
+    // the fingerprint), never its results — the copied session must
     // agree under every combination.
     for (const bool full_tick : {false, true}) {
         for (const bool tlm : {false, true}) {
@@ -64,10 +73,9 @@ TEST(Checkpoint, RestoredSessionReproducesColdRunBitForBit)
                 Session cold = makeSession(g, cfg);
                 const SessionResult base = cold.pageRank(2);
 
-                Session warm = makeSession(g, cfg);
-                const SessionCheckpoint cp =
-                    SessionCheckpoint::capture(warm);
-                Session forked = cp.restore();
+                const Session warm = warmSession(g, cfg);
+                Session forked = warm;
+                EXPECT_EQ(&forked.partition(), &warm.partition());
                 const SessionResult res = forked.pageRank(2);
 
                 EXPECT_EQ(base.run.cycles, res.run.cycles) << label;
@@ -85,24 +93,23 @@ TEST(Checkpoint, RestoredSessionReproducesColdRunBitForBit)
 TEST(Checkpoint, TwoForksSimulateIdenticalResults)
 {
     const CooGraph g = rmat(9, 4000, RmatParams{}, 19);
-    Session warm = makeSession(g, smallConfig());
-    const SessionCheckpoint cp = SessionCheckpoint::capture(warm);
-    const std::size_t bytes = cp.residentBytes();
+    const Session warm = warmSession(g, smallConfig());
+    const std::size_t bytes = warm.residentBytes();
 
-    // A checkpoint holds inputs only: each fork runs the simulation,
+    // A warm session holds inputs only: each copy runs the simulation,
     // and determinism makes the runs agree bit for bit.
-    Session first = cp.restore();
+    Session first = warm;
     const SessionResult a = first.pageRank(3);
-    Session second = cp.restore();
+    Session second = warm;
     const SessionResult b = second.pageRank(3);
     EXPECT_GT(a.engine.ticks_executed, 0u);
     EXPECT_EQ(a.engine.ticks_executed, b.engine.ticks_executed);
     EXPECT_EQ(a.run.cycles, b.run.cycles);
     EXPECT_EQ(a.run.raw_values, b.run.raw_values);
-    EXPECT_EQ(cp.residentBytes(), bytes);
+    EXPECT_EQ(warm.residentBytes(), bytes);
 
     // Different arguments simulate a different run.
-    Session third = cp.restore();
+    Session third = warm;
     const SessionResult c = third.pageRank(4);
     EXPECT_NE(a.run.cycles, c.run.cycles);
 }
@@ -110,14 +117,14 @@ TEST(Checkpoint, TwoForksSimulateIdenticalResults)
 TEST(Checkpoint, RestorePreservesIdMappingAndWeights)
 {
     const CooGraph g = rmat(9, 4000, RmatParams{}, 7);
-    Session warm = makeSession(g, smallConfig());
-    const SessionCheckpoint cp = SessionCheckpoint::capture(warm);
-    Session forked = cp.restore();
+    Session warm = warmSession(g, smallConfig());
+    Session forked = warm;
     for (NodeId n = 0; n < g.numNodes(); n += 53) {
         EXPECT_EQ(forked.internalId(n), warm.internalId(n));
         EXPECT_EQ(forked.originalId(forked.internalId(n)), n);
     }
-    // SSSP uses the synthetic-weight seed captured in the snapshot.
+    // SSSP on the copy builds its own weighted view from the
+    // synthetic-weight seed it copied.
     const SessionResult a = warm.sssp(3, 4);
     const SessionResult b = forked.sssp(3, 4);
     EXPECT_EQ(a.run.raw_values, b.run.raw_values);
@@ -129,11 +136,10 @@ TEST(Checkpoint, FailedRunsAreNeverMemoized)
     AccelConfig cfg = smallConfig();
     cfg.checks.enabled = true;
     cfg.max_cycles = 50;  // no run can finish: budget CheckError
-    Session warm = makeSession(g, cfg);
-    const SessionCheckpoint cp = SessionCheckpoint::capture(warm);
+    const Session warm = warmSession(g, cfg);
 
     const auto failure = [&] {
-        Session fork = cp.restore();
+        Session fork = warm;
         try {
             fork.pageRank(2);
         } catch (const CheckError& e) {
@@ -141,8 +147,8 @@ TEST(Checkpoint, FailedRunsAreNeverMemoized)
         }
         return std::string("no CheckError");
     };
-    // A fork taken after a failed run re-simulates and fails the same
-    // way: the failure leaves nothing behind in the checkpoint.
+    // A copy taken after a failed run re-simulates and fails the same
+    // way: the failure leaves nothing behind in the warm session.
     const std::string first = failure();
     EXPECT_NE(first, "no CheckError");
     EXPECT_EQ(failure(), first);

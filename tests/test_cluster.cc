@@ -292,18 +292,18 @@ TEST(Cluster, JobSpecCarriesBoardTopology)
 
 TEST(Cluster, ForkedSessionReproducesClusterReport)
 {
-    // A session forked from a 2-board checkpoint simulates the same
-    // checksum and the same cluster report as the captured session.
-    // (Board counts separate checkpoints and cached results through
+    // A copy of a warm 2-board session simulates the same checksum and
+    // the same cluster report as the session it was copied from.
+    // (Board counts separate pooled sessions and cached results through
     // the config fingerprint: Fingerprint.SeparatesResultRelevantConfigs.)
     const CooGraph g = rmat(9, 4000, RmatParams{}, 19);
     Session s = SessionBuilder()
                     .dataset(CooGraph(g))
                     .config(clusterConfig(2, ClusterConfig::Mode::Bsp))
                     .build();
-    SessionCheckpoint cp = SessionCheckpoint::capture(s);
+    s.partition();
+    Session forked = s;
     const SessionResult first = s.bfs(3);
-    Session forked = cp.restore();
     const SessionResult again = forked.bfs(3);
     EXPECT_EQ(checksum(first), checksum(again));
     EXPECT_EQ(first.run.cycles, again.run.cycles);

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/sim/parallel.hh"
@@ -139,6 +140,22 @@ TEST(ThreadPool, ParseWorkersAcceptsOnlyPlainPositiveIntegers)
     EXPECT_EQ(ThreadPool::parseWorkers("0"), 0u);
     EXPECT_EQ(ThreadPool::parseWorkers("1"), 1u);
     EXPECT_EQ(ThreadPool::parseWorkers("16"), 16u);
+}
+
+TEST(ThreadPool, ParseWorkersRejectsCountsAboveTheCap)
+{
+    const std::string cap = std::to_string(ThreadPool::kMaxWorkers);
+    const std::string over = std::to_string(ThreadPool::kMaxWorkers + 1);
+    EXPECT_EQ(ThreadPool::parseWorkers(cap.c_str()),
+              ThreadPool::kMaxWorkers);
+    EXPECT_EQ(ThreadPool::parseWorkers(over.c_str()), 0u);
+    EXPECT_EQ(ThreadPool::parseWorkers("4294967295"), 0u);
+    EXPECT_EQ(ThreadPool::parseWorkers("99999999999999999999"), 0u);
+    // strtoul negates a signed value, and "-18446744073709551615"
+    // would read as 1; a sign or a blank is refused outright.
+    EXPECT_EQ(ThreadPool::parseWorkers("-18446744073709551615"), 0u);
+    EXPECT_EQ(ThreadPool::parseWorkers("+4"), 0u);
+    EXPECT_EQ(ThreadPool::parseWorkers(" 4"), 0u);
 }
 
 TEST(ThreadPool, DefaultWorkersIsAtLeastOne)

@@ -5,8 +5,9 @@
  * order and bit-identical per-job results under worker counts 1/2/8 —
  * the GMOMS_JOBS values the CI matrix pins), the deadline -> retry ->
  * degraded-fallback policy, dataset-cache LRU eviction correctness
- * (a rebuilt dataset gives bit-identical results), checkpoints that
- * hold inputs only, an idle worker taking a job queued behind a
+ * (a rebuilt dataset gives bit-identical results), pooled warm
+ * sessions that hold inputs only and share their views with every
+ * fork, an idle worker taking a job queued behind a
  * running one, and TSan-clean concurrent submit/poll.
  */
 
@@ -347,10 +348,8 @@ TEST(ServeAdmission, SaturatedQueueAndQuotaRejectStructured)
     cfg.max_queue_depth = 2;
     cfg.per_tenant_quota = 2;
     // Quota binds on *in-flight* jobs: the repeats below must actually
-    // simulate (not replay a memoized checkpoint result in
-    // microseconds, nor complete at submit time from the result cache)
-    // for the queue to stay occupied across submits.
-    cfg.enable_checkpoints = false;
+    // simulate (not complete at submit time from the result cache) for
+    // the queue to stay occupied across submits.
     cfg.enable_result_cache = false;
     GraphService service(cfg);
 
@@ -517,17 +516,22 @@ TEST(ServeCache, EvictedDatasetRebuildsToIdenticalJobResults)
 TEST(ServeCheckpoint, RepeatJobsForkThePoolWithIdenticalResults)
 {
     // PageRank, SCC and BFS on one (dataset, prep, config) key share
-    // one pooled checkpoint; a repeat of one of them is answered by
-    // the result cache and forks nothing.
+    // one pooled session; a repeat of one of them is answered by the
+    // result cache and forks nothing.
     const std::vector<std::string> algos = {"PageRank", "SCC", "BFS"};
-    ServiceConfig cold_cfg;
-    cold_cfg.workers = 1;
-    cold_cfg.enable_checkpoints = false;
-    GraphService cold(cold_cfg);
-    std::vector<JobId> refs;
-    for (const std::string& algo : algos)
-        refs.push_back(cold.submit(tinyJob("t", algo)).id);
-    cold.drain();
+    // Cold-built references: each runs as the first job of a fresh
+    // service, so its pool misses and builds the session itself.
+    std::vector<JobRecord> refs;
+    for (const std::string& algo : algos) {
+        ServiceConfig cold_cfg;
+        cold_cfg.workers = 1;
+        GraphService cold(cold_cfg);
+        const JobId id = cold.submit(tinyJob("t", algo)).id;
+        cold.drain();
+        EXPECT_EQ(cold.stats().checkpoints.misses, 1u);
+        EXPECT_EQ(cold.stats().checkpoints.hits, 0u);
+        refs.push_back(*cold.poll(id));
+    }
 
     ServiceConfig cfg;
     cfg.workers = 1;
@@ -540,14 +544,13 @@ TEST(ServeCheckpoint, RepeatJobsForkThePoolWithIdenticalResults)
     refs.push_back(refs.front());
     service.drain();
 
-    // Checkpoint-forked jobs are bit-identical to the cold-built runs,
-    // and so is the repeat.
+    // Forked jobs are bit-identical to the cold-built runs, and so is
+    // the repeat.
     for (std::size_t i = 0; i < ids.size(); ++i) {
         const JobRecord rec = *service.poll(ids[i]);
-        const JobRecord ref = *cold.poll(refs[i]);
         EXPECT_EQ(rec.state, JobState::Completed);
-        EXPECT_EQ(rec.values_checksum, ref.values_checksum);
-        EXPECT_EQ(rec.cycles, ref.cycles);
+        EXPECT_EQ(rec.values_checksum, refs[i].values_checksum);
+        EXPECT_EQ(rec.cycles, refs[i].cycles);
         EXPECT_FALSE(rec.replay.empty());
         EXPECT_TRUE(ReplayDescriptor::parse(rec.replay).has_value());
     }
@@ -561,14 +564,48 @@ TEST(ServeCheckpoint, RepeatJobsForkThePoolWithIdenticalResults)
     const std::string json = stats.toJson().str();
     EXPECT_NE(json.find("\"checkpoint_forks\":3"), std::string::npos)
         << json;
-    // The disabled service never touched a pool.
-    EXPECT_NE(cold.stats().toJson().str().find("\"checkpoint_forks\":0"),
-              std::string::npos);
+}
+
+TEST(ServeCheckpoint, ForksShareThePooledViews)
+{
+    // A fork is a copy of the pooled session: it shares the partitions
+    // instead of rebuilding them, so acquiring never adds bytes.
+    CheckpointPool pool(0);
+    const DatasetPtr wt =
+        DatasetCache(0).get("WT", Preprocessing::DbgHash);
+    const AccelConfig cfg = tinyConfig();
+
+    const Session a = pool.acquire("WT", "dbg+hash", wt, cfg, false);
+    const std::uint64_t bytes = pool.stats().bytes;
+    const Session b = pool.acquire("WT", "dbg+hash", wt, cfg, false);
+    EXPECT_EQ(&a.partition(), &b.partition());
+    EXPECT_FALSE(b.weightedBuilt());  // a plain key warms no SSSP view
+    EXPECT_EQ(pool.stats().bytes, bytes);
+
+    AccelConfig sssp_cfg = cfg;
+    sssp_cfg.max_cycles /= 2;  // a second key, first acquired for SSSP
+    const Session c = pool.acquire("WT", "dbg+hash", wt, sssp_cfg, true);
+    const std::uint64_t both = pool.stats().bytes;
+    const Session d = pool.acquire("WT", "dbg+hash", wt, sssp_cfg, true);
+    ASSERT_TRUE(c.weightedBuilt());
+    EXPECT_EQ(&c.partition(), &d.partition());
+    EXPECT_EQ(&c.weightedPartition(), &d.weightedPartition());
+    EXPECT_EQ(pool.stats().bytes, both);
+
+    // The first SSSP on the plain key adds only the weighted view.
+    const Session e = pool.acquire("WT", "dbg+hash", wt, cfg, true);
+    EXPECT_TRUE(e.weightedBuilt());
+    EXPECT_EQ(&e.partition(), &a.partition());
+
+    const CacheStats stats = pool.stats();
+    EXPECT_EQ(stats.misses, 2u);
+    EXPECT_EQ(stats.hits, 3u);
+    EXPECT_EQ(stats.insertions, 3u);  // one put per build
 }
 
 TEST(ServeCheckpoint, ResidentBytesDoNotGrowWithDistinctJobs)
 {
-    // A checkpoint holds inputs, not results: twenty distinct BFS
+    // A pooled session holds inputs, not results: twenty distinct BFS
     // sources on one key leave its resident bytes where the first
     // job left them.
     ServiceConfig cfg;

@@ -1,14 +1,15 @@
 /**
  * @file
- * Tests for serve::Protocol (src/serve/protocol.hh): the v1 round-trip
- * compatibility contract (PR-5 bare JSON-lines clients keep working,
- * answered in the v1 wire shape), the v2 tagged-union response forms
- * (ok / error{code, problems[]} / result{...}) with echoed request_id,
- * accumulated-problems decoding and rejection, the 429 rate-limited
- * error with its retry_after_seconds hint, request encode/decode
- * round trips (the bench client and the server share exactly this one
- * parser/serializer), the nesting cap on hostile lines, and the net
- * stats provider being called for stats requests only.
+ * Tests for serve::Protocol (src/serve/protocol.hh): the one wire
+ * shape (a line without "v":2 and a string request_id is a
+ * bad_request that never reaches the service), the tagged-union
+ * response forms (ok / error{code, problems[]} / result{...}) with
+ * echoed request_id, accumulated-problems decoding and rejection, the
+ * 429 rate-limited error with its retry_after_seconds hint, request
+ * encode/decode round trips (the bench client and the server share
+ * exactly this one parser/serializer), the nesting cap on hostile
+ * lines, and the net stats provider being called for stats requests
+ * only.
  */
 
 #include <gtest/gtest.h>
@@ -48,94 +49,49 @@ parsed(const std::string& line)
     return v ? *v : JsonValue{};
 }
 
-bool
-hasKey(const JsonValue& obj, const std::string& key)
-{
-    return obj.find(key) != nullptr;
-}
-
 // ---------------------------------------------------------------------
-// v1 compatibility: the PR-5 wire shape, bit-for-bit
+// One wire shape: everything else is one bad_request
 // ---------------------------------------------------------------------
 
-TEST(ProtocolV1, SubmitPollDrainQuitRoundTripCompat)
-{
-    ServiceConfig cfg;
-    cfg.workers = 2;
-    GraphService service(cfg);
-    bool quit = false;
-
-    // A PR-5 client's literal submit line: no "v", no "request_id".
-    const std::string resp = handleRequestLine(
-        service,
-        R"({"op":"submit","tenant":"a","dataset":"WT",)"
-        R"("algo":"PageRank","preset":"degraded","iterations":2})",
-        quit);
-    const JsonValue sub = parsed(resp);
-    EXPECT_EQ(sub.find("op")->string, "submit");
-    EXPECT_TRUE(sub.find("ok")->boolean);
-    const JobId id = sub.find("id")->asUint64();
-    EXPECT_GE(id, 1u);
-    // The v1 shape must not grow v2 fields.
-    EXPECT_FALSE(hasKey(sub, "v"));
-    EXPECT_FALSE(hasKey(sub, "type"));
-    EXPECT_FALSE(hasKey(sub, "request_id"));
-
-    const JsonValue drain =
-        parsed(handleRequestLine(service, R"({"op":"drain"})", quit));
-    EXPECT_TRUE(drain.find("ok")->boolean);
-    EXPECT_EQ(drain.find("drained")->asUint64(), 1u);
-
-    const JsonValue poll = parsed(handleRequestLine(
-        service, R"({"op":"poll","id":)" + std::to_string(id) + "}",
-        quit));
-    EXPECT_TRUE(poll.find("ok")->boolean);
-    const JsonValue* job = poll.find("job");
-    ASSERT_NE(job, nullptr);
-    EXPECT_EQ(job->find("state")->string, "completed");
-    EXPECT_NE(job->find("values_checksum")->asUint64(), 0u);
-
-    const JsonValue stats =
-        parsed(handleRequestLine(service, R"({"op":"stats"})", quit));
-    EXPECT_TRUE(stats.find("ok")->boolean);
-    EXPECT_EQ(stats.find("stats")->find("submitted")->asUint64(), 1u);
-
-    EXPECT_FALSE(quit);
-    const JsonValue q =
-        parsed(handleRequestLine(service, R"({"op":"quit"})", quit));
-    EXPECT_TRUE(quit);
-    EXPECT_TRUE(q.find("ok")->boolean);
-}
-
-TEST(ProtocolV1, ErrorShapes)
+TEST(ProtocolV2, UnversionedV1BrokenAndUnknownLinesAreBadRequests)
 {
     GraphService service{ServiceConfig{}};
     bool quit = false;
-
-    // Malformed JSON: op "?" + joined "error" string, ok=false.
-    const JsonValue bad =
-        parsed(handleRequestLine(service, "{\"broken", quit));
-    EXPECT_EQ(bad.find("op")->string, "?");
-    EXPECT_FALSE(bad.find("ok")->boolean);
-    EXPECT_TRUE(hasKey(bad, "error"));
-
-    // Unknown op echoes the op text.
-    const JsonValue unk =
-        parsed(handleRequestLine(service, R"({"op":"zap"})", quit));
-    EXPECT_EQ(unk.find("op")->string, "zap");
-    EXPECT_FALSE(unk.find("ok")->boolean);
-
-    // A rejected v1 submit is NOT a protocol error: ok=false plus the
-    // full "rejected" reason array (the PR-5 contract).
-    const JsonValue rej = parsed(handleRequestLine(
-        service,
-        R"({"op":"submit","tenant":"a","dataset":"NOPE",)"
-        R"("algo":"Nope"})",
-        quit));
-    EXPECT_FALSE(rej.find("ok")->boolean);
-    const JsonValue* reasons = rej.find("rejected");
-    ASSERT_NE(reasons, nullptr);
-    EXPECT_GE(reasons->array.size(), 2u);  // bad dataset AND bad algo
+    const struct
+    {
+        const char* line;
+        const char* request_id;  //!< echoed when the line carries one
+        const char* problem;     //!< a substring of one problem
+    } cases[] = {
+        {R"({"op":"submit","tenant":"a","dataset":"WT","algo":"BFS"})",
+         "", "\"v\":2"},
+        {R"({"v":1,"request_id":"old","op":"stats"})", "old",
+         "\"v\":2"},
+        {R"({"v":2,"op":"stats"})", "", "\"request_id\""},
+        {"{\"broken", "", "bad JSON"},
+        {R"({"v":2,"request_id":"z","op":"zap"})", "z",
+         "unknown op \"zap\""},
+    };
+    for (const auto& c : cases) {
+        const std::string out = handleRequestLine(service, c.line, quit);
+        EXPECT_EQ(out.find('\n'), std::string::npos) << out;
+        const JsonValue resp = parsed(out);
+        EXPECT_EQ(resp.find("v")->asUint64(), 2u) << c.line;
+        EXPECT_EQ(resp.find("request_id")->string, c.request_id);
+        EXPECT_EQ(resp.find("type")->string, "error") << c.line;
+        const JsonValue* err = resp.find("error");
+        ASSERT_NE(err, nullptr) << c.line;
+        EXPECT_EQ(err->find("code")->string, "bad_request") << c.line;
+        bool named = false;
+        for (const JsonValue& p : err->find("problems")->array)
+            named = named || p.string.find(c.problem) != std::string::npos;
+        EXPECT_TRUE(named) << c.line << " -> " << out;
+    }
+    // An unversioned line with no request_id lists both problems.
+    EXPECT_EQ(decodeRequestLine(R"({"op":"stats"})").problems.size(),
+              2u);
+    // None of them reached the service.
+    EXPECT_EQ(service.stats().submitted, 0u);
     EXPECT_FALSE(quit);
 }
 
@@ -149,18 +105,28 @@ TEST(ProtocolV1, DeepNestingIsABadRequestNotACrash)
     const JsonValue resp = parsed(
         handleRequestLine(service, std::string(200000, '['), quit));
     EXPECT_EQ(resp.find("op")->string, "?");
-    EXPECT_FALSE(resp.find("ok")->boolean);
-    EXPECT_EQ(resp.find("error")->string,
+    EXPECT_EQ(resp.find("type")->string, "error");
+    const JsonValue* err = resp.find("error");
+    ASSERT_NE(err, nullptr);
+    EXPECT_EQ(err->find("code")->string, "bad_request");
+    const JsonValue* problems = err->find("problems");
+    ASSERT_NE(problems, nullptr);
+    ASSERT_EQ(problems->array.size(), 1u);
+    EXPECT_EQ(problems->array.front().string,
               "bad JSON: nesting deeper than " +
                   std::to_string(kMaxJsonDepth) + " at offset " +
                   std::to_string(kMaxJsonDepth));
     EXPECT_FALSE(quit);
 
     // The service is untouched and answers the next line.
-    const JsonValue stats =
-        parsed(handleRequestLine(service, R"({"op":"stats"})", quit));
-    EXPECT_TRUE(stats.find("ok")->boolean);
-    EXPECT_EQ(stats.find("stats")->find("submitted")->asUint64(), 0u);
+    const JsonValue stats = parsed(handleRequestLine(
+        service, R"({"v":2,"request_id":"s","op":"stats"})", quit));
+    EXPECT_EQ(stats.find("type")->string, "result");
+    EXPECT_EQ(stats.find("result")
+                  ->find("stats")
+                  ->find("submitted")
+                  ->asUint64(),
+              0u);
 }
 
 // ---------------------------------------------------------------------
@@ -184,41 +150,35 @@ TEST(ProtocolNetStats, ProviderIsCalledOnlyForStats)
         return parsed(handleRequestLine(service, line, quit, provider));
     };
 
-    const JsonValue sub = handle(
-        R"({"op":"submit","tenant":"a","dataset":"WT",)"
-        R"("algo":"PageRank","preset":"degraded","iterations":2})");
-    const JobId id = sub.find("id")->asUint64();
-    handle(R"({"v":2,"request_id":"s","op":"submit","tenant":"a",)"
-           R"("dataset":"WT","algo":"PageRank","preset":"degraded",)"
-           R"("iterations":2})");
-    handle(R"({"op":"drain"})");
+    const JsonValue sub =
+        handle(R"({"v":2,"request_id":"s","op":"submit","tenant":"a",)"
+               R"("dataset":"WT","algo":"PageRank","preset":"degraded",)"
+               R"("iterations":2})");
+    const JobId id = sub.find("result")->find("id")->asUint64();
     handle(R"({"v":2,"request_id":"d","op":"drain"})");
-    handle(R"({"op":"poll","id":)" + std::to_string(id) + "}");
     handle(R"({"v":2,"request_id":"p","op":"poll","id":)" +
            std::to_string(id) + "}");
-    handle("{\"broken");
-    handle(R"({"op":"zap"})");
+    handle(R"({"v":2,"request_id":"b","op":)");
     handle(R"({"v":2,"request_id":"z","op":"zap"})");
     EXPECT_EQ(calls, 0) << "a non-stats request built the net block";
 
-    const JsonValue v1 = handle(R"({"op":"stats"})");
-    EXPECT_EQ(calls, 1);
-    ASSERT_NE(v1.find("net"), nullptr);
-    EXPECT_EQ(v1.find("net")->find("requests")->asUint64(), 7u);
-
-    const JsonValue v2 = handle(R"({"v":2,"request_id":"st","op":"stats"})");
-    EXPECT_EQ(calls, 2);
-    const JsonValue* result = v2.find("result");
-    ASSERT_NE(result, nullptr);
-    ASSERT_NE(result->find("net"), nullptr);
-    EXPECT_EQ(result->find("net")->find("requests")->asUint64(), 7u);
-    ASSERT_NE(result->find("stats"), nullptr);
+    const std::string stats_line =
+        R"({"v":2,"request_id":"st","op":"stats"})";
+    for (int n = 1; n <= 2; ++n) {
+        const JsonValue stats = handle(stats_line);
+        EXPECT_EQ(calls, n);
+        const JsonValue* result = stats.find("result");
+        ASSERT_NE(result, nullptr);
+        ASSERT_NE(result->find("net"), nullptr);
+        EXPECT_EQ(result->find("net")->find("requests")->asUint64(), 7u);
+        ASSERT_NE(result->find("stats"), nullptr);
+    }
 
     // Without a provider the stats response has no net block.
     const JsonValue bare =
-        parsed(handleRequestLine(service, R"({"op":"stats"})", quit));
-    EXPECT_EQ(bare.find("net"), nullptr);
-    EXPECT_NE(bare.find("stats"), nullptr);
+        parsed(handleRequestLine(service, stats_line, quit));
+    EXPECT_EQ(bare.find("result")->find("net"), nullptr);
+    EXPECT_NE(bare.find("result")->find("stats"), nullptr);
     EXPECT_FALSE(quit);
 }
 
@@ -402,7 +362,7 @@ TEST(ProtocolV2, RejectionAccumulatesValidationProblems)
 }
 
 // ---------------------------------------------------------------------
-// Rate limiting on the wire: the 429 contract in both versions
+// Rate limiting on the wire: the 429 contract
 // ---------------------------------------------------------------------
 
 TEST(ProtocolRateLimit, V2RateLimitedCarriesRetryAfter)
@@ -438,29 +398,6 @@ TEST(ProtocolRateLimit, V2RateLimitedCarriesRetryAfter)
     EXPECT_EQ(stats.submitted,
               stats.rejected + stats.completed + stats.degraded +
                   stats.failed);
-}
-
-TEST(ProtocolRateLimit, V1RateLimitedStaysARejection)
-{
-    ServiceConfig cfg;
-    cfg.workers = 2;
-    cfg.rate_limit_hz = 0.001;
-    cfg.rate_limit_burst = 1;
-    GraphService service(cfg);
-    bool quit = false;
-
-    const std::string submit =
-        R"({"op":"submit","tenant":"a","dataset":"WT",)"
-        R"("algo":"PageRank","preset":"degraded","iterations":2})";
-    parsed(handleRequestLine(service, submit, quit));
-    const JsonValue second =
-        parsed(handleRequestLine(service, submit, quit));
-    // v1 has no error codes: a 429 renders as the PR-5 rejection shape
-    // plus the retry hint.
-    EXPECT_FALSE(second.find("ok")->boolean);
-    ASSERT_NE(second.find("rejected"), nullptr);
-    EXPECT_GT(second.find("retry_after_seconds")->number, 0.0);
-    service.drain();
 }
 
 // ---------------------------------------------------------------------
@@ -508,21 +445,6 @@ TEST(ProtocolCodec, SubmitRequestRoundTripsEveryField)
     EXPECT_EQ(s.boards, 2u);
     EXPECT_EQ(s.cluster_mode, "async");
     EXPECT_EQ(s.cluster_partitioner, "round-robin");
-}
-
-TEST(ProtocolCodec, V1RequestsOmitVersioning)
-{
-    Request req;
-    req.verb = Verb::Poll;
-    req.poll_id = 42;
-    const std::string line = encodeRequestLine(req);
-    const JsonValue obj = parsed(line);
-    EXPECT_FALSE(hasKey(obj, "v"));
-    EXPECT_FALSE(hasKey(obj, "request_id"));
-    const DecodedRequest d = decodeRequestLine(line);
-    ASSERT_TRUE(d.ok());
-    EXPECT_EQ(d.req.v, kProtocolV1);
-    EXPECT_EQ(d.req.poll_id, 42u);
 }
 
 } // namespace

@@ -12,25 +12,33 @@
  *     printed to stdout as `{"listening":PORT}` so drivers using an
  *     ephemeral port (--listen 0) can find it.
  *
- * Both speak v1 (PR 5 bare JSON-lines, answered bit-compatibly) and v2
- * (`"v":2` + `request_id`, tagged-union responses); see the protocol
- * header for the wire shapes and docs/MODEL.md for the schema.
+ * Both speak the one wire shape (`"v":2` + `request_id`, tagged-union
+ * responses); see the protocol header and docs/MODEL.md for the
+ * schema.
  *
- * Service flags: --workers N, --paused (batch mode: dispatch only on
+ * Service flags: --workers N (0 = GMOMS_JOBS or one per core, at most
+ * ThreadPool::kMaxWorkers), --paused (batch mode: dispatch only on
  * drain), --queue-depth N, --quota N, --cache-mb N, --no-fallback,
- * --checkpoint-mb N, --no-checkpoints, --result-cache-mb N,
- * --no-result-cache, --rate-hz R --rate-burst B (per-tenant token
- * bucket; 0 = unlimited).
+ * --checkpoint-mb N, --result-cache-mb N, --no-result-cache,
+ * --rate-hz R --rate-burst B (per-tenant token bucket; 0 = unlimited).
  * Network flags: --listen PORT, --bind ADDR, --max-conns N.
+ *
+ * Every numeric value must be one whole decimal token in its field's
+ * range (a port at most 65535, MB counts whose bytes fit 64 bits,
+ * finite non-negative rates); anything else exits 2 with a message
+ * naming the flag before the service starts a thread.
  *
  * Stats responses include the admission/cache/checkpoint/result-cache/
  * rate-limiter block (ServiceStats::toJson) and, in TCP mode, the
  * server's connection counters under "net".
  */
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "src/net/tcp_server.hh"
@@ -50,7 +58,7 @@ usage(const char* argv0)
         stderr,
         "usage: %s [--workers N] [--paused] [--queue-depth N]\n"
         "          [--quota N] [--cache-mb N] [--no-fallback]\n"
-        "          [--checkpoint-mb N] [--no-checkpoints]\n"
+        "          [--checkpoint-mb N]\n"
         "          [--result-cache-mb N] [--no-result-cache]\n"
         "          [--rate-hz R] [--rate-burst B]\n"
         "          [--listen PORT] [--bind ADDR] [--max-conns N]\n"
@@ -58,6 +66,51 @@ usage(const char* argv0)
         "with --listen); see the file header for the protocol.\n",
         argv0);
     return 2;
+}
+
+/** Parse @p text as one whole decimal integer in [0, @p max] into
+ *  @p out; false (and @p out untouched) otherwise. */
+template <typename T>
+bool
+readUint(const char* text, std::uint64_t max, T& out)
+{
+    if (!text)
+        return false;
+    const char* end = text + std::strlen(text);
+    std::uint64_t v = 0;
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc() || ptr == text || ptr != end || v > max)
+        return false;
+    out = static_cast<T>(v);
+    return true;
+}
+
+/** A megabyte count as bytes; refuses counts whose bytes overflow. */
+bool
+readMb(const char* text, std::uint64_t& bytes)
+{
+    std::uint64_t mb = 0;
+    if (!readUint(text, std::numeric_limits<std::uint64_t>::max() >> 20,
+                  mb))
+        return false;
+    bytes = mb << 20;
+    return true;
+}
+
+/** A finite, non-negative rate or burst size. */
+bool
+readRate(const char* text, double& out)
+{
+    if (!text)
+        return false;
+    const char* end = text + std::strlen(text);
+    double v = 0;
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc() || ptr == text || ptr != end ||
+        !std::isfinite(v) || v < 0)
+        return false;
+    out = v;
+    return true;
 }
 
 int
@@ -116,85 +169,58 @@ runTcp(GraphService& service, const net::TcpServerConfig& net_cfg)
 int
 main(int argc, char** argv)
 {
+    constexpr std::uint64_t kCount =
+        std::numeric_limits<std::size_t>::max();
     ServiceConfig cfg;
     net::TcpServerConfig net_cfg;
     bool tcp = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--workers") {
-            const char* v = next();
-            if (!v)
-                return usage(argv[0]);
-            cfg.workers = static_cast<unsigned>(std::atoi(v));
-        } else if (arg == "--paused") {
+        if (arg == "--paused") {
             cfg.start_paused = true;
-        } else if (arg == "--queue-depth") {
-            const char* v = next();
-            if (!v)
-                return usage(argv[0]);
-            cfg.max_queue_depth =
-                static_cast<std::size_t>(std::atoll(v));
-        } else if (arg == "--quota") {
-            const char* v = next();
-            if (!v)
-                return usage(argv[0]);
-            cfg.per_tenant_quota =
-                static_cast<std::size_t>(std::atoll(v));
-        } else if (arg == "--cache-mb") {
-            const char* v = next();
-            if (!v)
-                return usage(argv[0]);
-            cfg.cache_budget_bytes =
-                static_cast<std::uint64_t>(std::atoll(v)) << 20;
-        } else if (arg == "--no-fallback") {
+            continue;
+        }
+        if (arg == "--no-fallback") {
             cfg.enable_fallback = false;
-        } else if (arg == "--checkpoint-mb") {
-            const char* v = next();
-            if (!v)
-                return usage(argv[0]);
-            cfg.checkpoint_budget_bytes =
-                static_cast<std::uint64_t>(std::atoll(v)) << 20;
-        } else if (arg == "--no-checkpoints") {
-            cfg.enable_checkpoints = false;
-        } else if (arg == "--result-cache-mb") {
-            const char* v = next();
-            if (!v)
-                return usage(argv[0]);
-            cfg.result_cache_budget_bytes =
-                static_cast<std::uint64_t>(std::atoll(v)) << 20;
-        } else if (arg == "--no-result-cache") {
+            continue;
+        }
+        if (arg == "--no-result-cache") {
             cfg.enable_result_cache = false;
+            continue;
+        }
+        const char* value = ++i < argc ? argv[i] : nullptr;
+        bool ok = false;
+        if (arg == "--workers") {
+            ok = readUint(value, ThreadPool::kMaxWorkers, cfg.workers);
+        } else if (arg == "--queue-depth") {
+            ok = readUint(value, kCount, cfg.max_queue_depth);
+        } else if (arg == "--quota") {
+            ok = readUint(value, kCount, cfg.per_tenant_quota);
+        } else if (arg == "--cache-mb") {
+            ok = readMb(value, cfg.cache_budget_bytes);
+        } else if (arg == "--checkpoint-mb") {
+            ok = readMb(value, cfg.checkpoint_budget_bytes);
+        } else if (arg == "--result-cache-mb") {
+            ok = readMb(value, cfg.result_cache_budget_bytes);
         } else if (arg == "--rate-hz") {
-            const char* v = next();
-            if (!v)
-                return usage(argv[0]);
-            cfg.rate_limit_hz = std::atof(v);
+            ok = readRate(value, cfg.rate_limit_hz);
         } else if (arg == "--rate-burst") {
-            const char* v = next();
-            if (!v)
-                return usage(argv[0]);
-            cfg.rate_limit_burst = std::atof(v);
+            ok = readRate(value, cfg.rate_limit_burst);
         } else if (arg == "--listen") {
-            const char* v = next();
-            if (!v)
-                return usage(argv[0]);
-            net_cfg.port = static_cast<std::uint16_t>(std::atoi(v));
+            ok = readUint(value, 65535, net_cfg.port);
             tcp = true;
         } else if (arg == "--bind") {
-            const char* v = next();
-            if (!v)
-                return usage(argv[0]);
-            net_cfg.bind_address = v;
+            ok = value != nullptr;
+            if (ok)
+                net_cfg.bind_address = value;
         } else if (arg == "--max-conns") {
-            const char* v = next();
-            if (!v)
-                return usage(argv[0]);
-            net_cfg.max_connections =
-                static_cast<std::size_t>(std::atoll(v));
+            ok = readUint(value, kCount, net_cfg.max_connections);
         } else {
+            return usage(argv[0]);
+        }
+        if (!ok) {
+            std::fprintf(stderr, "%s: bad value \"%s\" for %s\n", argv[0],
+                         value ? value : "", arg.c_str());
             return usage(argv[0]);
         }
     }
