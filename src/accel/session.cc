@@ -107,33 +107,21 @@ Session::weightedPartition() const
     return *pg_weighted_;
 }
 
-namespace
-{
-
-std::size_t
-graphBytes(const CooGraph& g)
-{
-    return g.numEdges() * sizeof(Edge) +
-           static_cast<std::size_t>(g.numNodes()) * sizeof(NodeId);
-}
-
-} // namespace
-
 std::size_t
 Session::residentBytes() const
 {
-    std::size_t total = sizeof(Session) + graphBytes(*src_);
+    std::size_t total = sizeof(Session) + src_->bytes();
     if (plain_ && plain_ != src_)
-        total += graphBytes(*plain_);
+        total += plain_->bytes();
     if (weighted_ && weighted_ != src_ && weighted_ != plain_)
-        total += graphBytes(*weighted_);
-    // A partition re-buckets every edge once plus interval metadata.
+        total += weighted_->bytes();
     if (pg_plain_)
-        total += graphBytes(*plain_);
+        total += pg_plain_->bytes();
     if (pg_weighted_)
-        total += graphBytes(*weighted_);
+        total += pg_weighted_->bytes();
     if (to_internal_)
-        total += to_internal_->size() * sizeof(NodeId) * 2;
+        total += (to_internal_->capacity() + to_original_->capacity()) *
+                 sizeof(NodeId);
     return total;
 }
 

@@ -121,8 +121,9 @@ class Session
     const PartitionedGraph& weightedPartition() const;
     /** Whether the weighted view and its partition are built. */
     bool weightedBuilt() const { return pg_weighted_ != nullptr; }
-    /** Approximate bytes of the built views, partitions and id tables;
-     *  a view shared with the source graph counts once. */
+    /** Bytes of the source graph, the built views and partitions (each
+     *  container's bytes()) and the id tables; a view shared with the
+     *  source graph counts once. */
     std::size_t residentBytes() const;
     const AccelConfig& config() const { return config_; }
 

@@ -50,11 +50,12 @@ goldenSssp(const CooGraph& g, NodeId source)
     bool changed = true;
     while (changed) {
         changed = false;
-        for (const Edge& e : g.edges()) {
+        for (EdgeId i = 0; i < g.numEdges(); ++i) {
+            const Edge& e = g.edges()[i];
             if (dist[e.src] == kInfDist)
                 continue;
             const std::uint64_t cand =
-                std::uint64_t{dist[e.src]} + e.weight;
+                std::uint64_t{dist[e.src]} + g.weight(i);
             if (cand < dist[e.dst]) {
                 dist[e.dst] = static_cast<std::uint32_t>(cand);
                 changed = true;

@@ -51,19 +51,25 @@ runReference(const PartitionedGraph& pg, const AlgoSpec& spec)
             for (std::uint32_t s = 0; s < pg.qs(); ++s) {
                 if (!active_srcs[s])
                     continue;
-                for (const Edge& e : pg.shardEdges(s, d)) {
-                    const std::uint32_t dst_off = e.dst - base;
+                const NodeId src_base = pg.srcIntervalBase(s);
+                const auto words = pg.shardWords(s, d);
+                const auto weights = pg.shardWeights(s, d);
+                for (std::size_t i = 0; i < words.size(); ++i) {
+                    const std::uint32_t dst_off =
+                        edgeword::dstOff(words[i]);
+                    const NodeId src =
+                        src_base + edgeword::srcOff(words[i]);
                     std::uint32_t src_val;
-                    if (spec.use_local_src &&
-                        pg.dstIntervalOf(e.src) == d) {
-                        src_val = static_cast<std::uint32_t>(
-                            bram[e.src - base]);
+                    if (spec.use_local_src && pg.dstIntervalOf(src) == d) {
+                        src_val =
+                            static_cast<std::uint32_t>(bram[src - base]);
                     } else {
-                        src_val = v_in[e.src];
+                        src_val = v_in[src];
                         ++result.remote_src_reads;
                     }
-                    const std::uint64_t next =
-                        spec.gather(src_val, bram[dst_off], e.weight);
+                    const std::uint64_t next = spec.gather(
+                        src_val, bram[dst_off],
+                        weights.empty() ? 0 : weights[i]);
                     if (next != bram[dst_off] || spec.always_active) {
                         interval_updated = true;
                         cont = true;

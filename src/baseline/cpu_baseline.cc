@@ -156,7 +156,7 @@ cpuSssp(const CooGraph& g, NodeId source, std::uint32_t num_threads)
                 if (ds == kInfDist)
                     continue;
                 const std::uint64_t cand =
-                    std::uint64_t{ds} + edge.weight;
+                    std::uint64_t{ds} + g.weight(e);
                 if (cand < kInfDist &&
                     atomicMin(dist[edge.dst],
                               static_cast<std::uint32_t>(cand)))

@@ -15,8 +15,8 @@ forEachSourceRead(const PartitionedGraph& pg,
 {
     for (std::uint32_t d = 0; d < pg.qd(); ++d)
         for (std::uint32_t s = 0; s < pg.qs(); ++s)
-            for (const Edge& e : pg.shardEdges(s, d))
-                fn(e.src);
+            for (const std::uint32_t w : pg.shardWords(s, d))
+                fn(pg.srcIntervalBase(s) + edgeword::srcOff(w));
 }
 
 std::uint64_t

@@ -59,6 +59,7 @@ ClusterPartition::ClusterPartition(const CooGraph& g, std::uint32_t nd,
 {
     if (nd_ == 0)
         fatal("ClusterPartition: nd must be > 0");
+    g.checkWeights("ClusterPartition");
     if (cc.boards == 0 || cc.boards > ClusterConfig::kMaxBoards)
         fatal("ClusterPartition: boards must be in [1, " +
               std::to_string(ClusterConfig::kMaxBoards) + "]; got " +
@@ -145,12 +146,13 @@ ClusterPartition::ClusterPartition(const CooGraph& g, std::uint32_t nd,
         s.local = CooGraph(s.ghost_base + s.num_ghosts, g.weighted());
         s.local.name = g.name + "/b" + std::to_string(b);
     }
-    for (const Edge& e : g.edges()) {
+    for (EdgeId i = 0; i < g.numEdges(); ++i) {
+        const Edge& e = g.edges()[i];
         const std::uint32_t b = interval_owner_[e.dst / nd_];
         BoardShard& s = shards_[b];
         const NodeId ldst = localId(b, e.dst);
         const NodeId lsrc = localId(b, e.src);
-        s.local.addEdge(lsrc, ldst, e.weight);
+        s.local.addEdge(lsrc, ldst, g.weight(i));
         ++s.local_edges;
         if (lsrc >= s.ghost_base) {
             ++s.cut_edges;

@@ -5,6 +5,32 @@
 namespace gmoms
 {
 
+void
+CooGraph::setWeighted(bool w)
+{
+    weighted_ = w;
+    if (w)
+        weights_.resize(edges_.size(), 0);
+    else
+        std::vector<std::uint32_t>().swap(weights_);
+}
+
+void
+CooGraph::checkWeights(const char* who) const
+{
+    if (weighted_ && weights_.size() != edges_.size())
+        fatal(std::string(who) + ": weighted graph holds " +
+              std::to_string(weights_.size()) + " weights for " +
+              std::to_string(edges_.size()) + " edges");
+}
+
+std::size_t
+CooGraph::bytes() const
+{
+    return sizeof(CooGraph) + edges_.capacity() * sizeof(Edge) +
+           weights_.capacity() * sizeof(std::uint32_t) + name.capacity();
+}
+
 std::vector<std::uint32_t>
 CooGraph::outDegrees() const
 {
@@ -45,12 +71,15 @@ CooGraph::relabel(const std::vector<NodeId>& new_label)
 CooGraph
 CooGraph::withReverseEdges() const
 {
+    checkWeights("withReverseEdges");
     CooGraph out(num_nodes_, weighted_);
     out.name = name;
     out.edges_.reserve(2 * edges_.size());
-    for (const Edge& e : edges_) {
-        out.edges_.push_back(e);
-        out.edges_.push_back(Edge{e.dst, e.src, e.weight});
+    out.weights_.reserve(2 * weights_.size());
+    for (EdgeId i = 0; i < edges_.size(); ++i) {
+        const Edge& e = edges_[i];
+        out.addEdge(e.src, e.dst, weight(i));
+        out.addEdge(e.dst, e.src, weight(i));
     }
     return out;
 }

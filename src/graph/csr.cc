@@ -8,6 +8,7 @@ namespace gmoms
 CsrGraph::CsrGraph(const CooGraph& g)
     : num_nodes_(g.numNodes()), weighted_(g.weighted())
 {
+    g.checkWeights("CsrGraph");
     row_offsets_.assign(static_cast<std::size_t>(num_nodes_) + 1, 0);
     for (const Edge& e : g.edges())
         ++row_offsets_[e.src + 1];
@@ -19,11 +20,12 @@ CsrGraph::CsrGraph(const CooGraph& g)
         weights_.resize(g.numEdges());
     std::vector<EdgeId> cursor(row_offsets_.begin(),
                                row_offsets_.end() - 1);
-    for (const Edge& e : g.edges()) {
+    for (EdgeId i = 0; i < g.numEdges(); ++i) {
+        const Edge& e = g.edges()[i];
         const EdgeId slot = cursor[e.src]++;
         neighbors_[slot] = e.dst;
         if (weighted_)
-            weights_[slot] = e.weight;
+            weights_[slot] = g.weights()[i];
     }
 }
 
@@ -32,6 +34,7 @@ CsrGraph::toCoo() const
 {
     CooGraph g(num_nodes_, weighted_);
     g.edges().reserve(numEdges());
+    g.weights().reserve(weights_.size());
     for (NodeId n = 0; n < num_nodes_; ++n) {
         const auto nbrs = neighbors(n);
         const auto w = weights(n);

@@ -187,9 +187,9 @@ void
 addRandomWeights(CooGraph& g, std::uint64_t seed)
 {
     Rng rng(seed);
-    for (Edge& e : g.edges())
-        e.weight = static_cast<std::uint32_t>(rng.below(256));
     g.setWeighted(true);
+    for (std::uint32_t& w : g.weights())
+        w = static_cast<std::uint32_t>(rng.below(256));
 }
 
 std::vector<NodeId>

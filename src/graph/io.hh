@@ -4,7 +4,10 @@
  * format (Section III-C). Two on-disk representations:
  *  - text edge lists ("src dst [weight]" per line, '#'/'%' comments),
  *    compatible with SNAP / KONECT downloads;
- *  - a compact binary format for fast reloads.
+ *  - a compact binary format for fast reloads: a header (magic, node
+ *    count, edge count, weighted flag; 64 bits each), then one 12-byte
+ *    (src, dst, weight) record of 32-bit words per edge, weight 0 when
+ *    unweighted.
  */
 
 #ifndef GMOMS_GRAPH_IO_HH
@@ -28,7 +31,7 @@ CooGraph loadEdgeList(const std::string& path, NodeId num_nodes_hint = 0);
 /** Write "src dst [weight]" lines. */
 void saveEdgeList(const CooGraph& g, const std::string& path);
 
-/** Binary round-trip format (magic + counts + raw edge array). */
+/** Binary round-trip format (header + 12-byte edge records). */
 CooGraph loadBinary(const std::string& path);
 void saveBinary(const CooGraph& g, const std::string& path);
 

@@ -39,18 +39,15 @@ class ShardPacker
     const std::vector<std::uint16_t>&
     encode(std::uint32_t s, std::uint32_t d)
     {
-        const NodeId src_base = static_cast<NodeId>(s) * pg_.ns();
-        groupBySource(pg_.shardEdges(s, d), src_base);
+        groupBySource(pg_.shardWords(s, d), pg_.shardWeights(s, d));
 
         constexpr std::uint32_t hpl = packedcsr::kHalfwordsPerLine;
         const std::uint32_t dst_units = weighted_ ? 2 : 1;
-        const NodeId dst_base = pg_.dstIntervalBase(d);
 
         out_.clear();
         std::uint32_t open_src = ~0u;
-        for (const Edge& e : sorted_) {
-            const std::uint32_t dst_off = e.dst - dst_base;
-            const std::uint32_t src_off = e.src - src_base;
+        for (const Unit& u : sorted_) {
+            const std::uint32_t src_off = edgeword::srcOff(u.word);
             const std::uint32_t pos = out_.size() % hpl;
             // Lines are self-contained: re-open the source group at
             // every line start.
@@ -63,9 +60,9 @@ class ShardPacker
                 out_.push_back(packedcsr::selector(src_off));
                 open_src = src_off;
             }
-            out_.push_back(packedcsr::destination(dst_off));
+            out_.push_back(packedcsr::destination(edgeword::dstOff(u.word)));
             if (weighted_)
-                out_.push_back(static_cast<std::uint16_t>(e.weight));
+                out_.push_back(static_cast<std::uint16_t>(u.weight));
         }
         // Tail padding; an empty shard still gets one all-pad line so
         // its edge pointer never carries size zero.
@@ -76,27 +73,40 @@ class ShardPacker
     }
 
   private:
+    /** One edge word and its weight (0 when unweighted). */
+    struct Unit
+    {
+        std::uint32_t word;
+        std::uint32_t weight;
+    };
+
     /** Shards up to this size are insertion-sorted: cheaper than
      *  counting over the range of sources they touch. */
     static constexpr std::size_t kInsertionSortMax = 32;
 
-    /** Stable-sort @p edges by source into sorted_. */
+    /** Stable-sort a shard's edges by source offset into sorted_. */
     void
-    groupBySource(std::span<const Edge> edges, NodeId src_base)
+    groupBySource(std::span<const std::uint32_t> words,
+                  std::span<const std::uint32_t> weights)
     {
-        sorted_.resize(edges.size());
-        if (edges.size() <= kInsertionSortMax) {
-            for (std::size_t i = 0; i < edges.size(); ++i) {
+        const auto unit = [&](std::size_t i) {
+            return Unit{words[i], weights.empty() ? 0u : weights[i]};
+        };
+        sorted_.resize(words.size());
+        if (words.size() <= kInsertionSortMax) {
+            for (std::size_t i = 0; i < words.size(); ++i) {
+                const std::uint32_t k = edgeword::srcOff(words[i]);
                 std::size_t j = i;
-                for (; j > 0 && sorted_[j - 1].src > edges[i].src; --j)
+                for (; j > 0 && edgeword::srcOff(sorted_[j - 1].word) > k;
+                     --j)
                     sorted_[j] = sorted_[j - 1];
-                sorted_[j] = edges[i];
+                sorted_[j] = unit(i);
             }
             return;
         }
         std::uint32_t lo = pg_.ns(), hi = 0;
-        for (const Edge& e : edges) {
-            const std::uint32_t k = e.src - src_base;
+        for (const std::uint32_t w : words) {
+            const std::uint32_t k = edgeword::srcOff(w);
             ++counts_[k];
             lo = std::min(lo, k);
             hi = std::max(hi, k);
@@ -105,15 +115,15 @@ class ShardPacker
         std::uint32_t next = 0;
         for (std::uint32_t k = lo; k <= hi; ++k)
             next += std::exchange(counts_[k], next);
-        for (const Edge& e : edges)
-            sorted_[counts_[e.src - src_base]++] = e;
+        for (std::size_t i = 0; i < words.size(); ++i)
+            sorted_[counts_[edgeword::srcOff(words[i])]++] = unit(i);
         std::fill(counts_.begin() + lo, counts_.begin() + hi + 1, 0);
     }
 
     const PartitionedGraph& pg_;
     const bool weighted_;
     std::vector<std::uint32_t> counts_;  //!< per src_off, zero between
-    std::vector<Edge> sorted_;
+    std::vector<Unit> sorted_;
     std::vector<std::uint16_t> out_;
 };
 
@@ -124,14 +134,9 @@ packEligible(const PartitionedGraph& pg)
 {
     if (pg.ns() > 32767 || pg.nd() > 32768)
         return false;
-    if (pg.weighted()) {
-        for (std::uint32_t d = 0; d < pg.qd(); ++d)
-            for (std::uint32_t s = 0; s < pg.qs(); ++s)
-                for (const Edge& e : pg.shardEdges(s, d))
-                    if (e.weight > 0xffffu)
-                        return false;
-    }
-    return true;
+    return std::ranges::none_of(pg.weights(), [](std::uint32_t w) {
+        return w > 0xffffu;
+    });
 }
 
 } // namespace
@@ -225,15 +230,21 @@ GraphLayout::build(const PartitionedGraph& pg, BackingStore& store)
     for (std::uint32_t d = 0; d < qd_; ++d) {
         for (std::uint32_t s = 0; s < qs_; ++s) {
             const std::uint64_t start = word;
-            for (const Edge& e : pg.shardEdges(s, d)) {
-                const std::uint32_t src_off =
-                    e.src - static_cast<NodeId>(s) * pg.ns();
-                const std::uint32_t dst_off =
-                    e.dst - pg.dstIntervalBase(d);
-                store.write32(4 * word++,
-                              edgeword::pack(src_off, dst_off));
-                if (weighted_)
-                    store.write32(4 * word++, e.weight);
+            const std::span<const std::uint32_t> words =
+                pg.shardWords(s, d);
+            if (!weighted_) {
+                // The partition already holds the Fig. 4 words.
+                if (!words.empty())
+                    store.writeBytes(4 * word, words.data(),
+                                     4 * words.size());
+                word += words.size();
+            } else {
+                const std::span<const std::uint32_t> weights =
+                    pg.shardWeights(s, d);
+                for (std::size_t i = 0; i < words.size(); ++i) {
+                    store.write32(4 * word++, words[i]);
+                    store.write32(4 * word++, weights[i]);
+                }
             }
             // Terminating edge, then pad the remainder of the last line
             // with terminating words so out-of-order DMA never decodes

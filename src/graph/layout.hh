@@ -10,7 +10,8 @@
  *   (iii) edge pointers, one 64-bit entry per shard, carrying start
  *         address, size and the active_srcs flag.
  *
- * Compressed edge word: [31] isTerminatingEdge, [30:15] source offset in
+ * Compressed edge word (edgeword in partition.hh, which holds every
+ * edge in this form): [31] isTerminatingEdge, [30:15] source offset in
  * its source interval (16 bits), [14:0] destination offset in its
  * destination interval (15 bits). Weighted edges append a 32-bit weight
  * word. Shards start 64-byte aligned; padding words carry the
@@ -29,27 +30,6 @@
 
 namespace gmoms
 {
-
-/** Compressed 32-bit edge word helpers. */
-namespace edgeword
-{
-
-inline constexpr std::uint32_t kTerminating = 0x80000000u;
-
-constexpr std::uint32_t
-pack(std::uint32_t src_off, std::uint32_t dst_off)
-{
-    return ((src_off & 0xffffu) << 15) | (dst_off & 0x7fffu);
-}
-
-constexpr bool isTerminating(std::uint32_t w) { return w & kTerminating; }
-constexpr std::uint32_t srcOff(std::uint32_t w)
-{
-    return (w >> 15) & 0xffffu;
-}
-constexpr std::uint32_t dstOff(std::uint32_t w) { return w & 0x7fffu; }
-
-} // namespace edgeword
 
 /**
  * Packed half-word CSR (degree-aware vertex packing).

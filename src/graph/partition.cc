@@ -17,6 +17,7 @@ PartitionedGraph::PartitionedGraph(const CooGraph& g, std::uint32_t nd,
               "offsets");
     if (num_nodes_ == 0)
         fatal("cannot partition an empty graph");
+    g.checkWeights("PartitionedGraph");
 
     qd_ = static_cast<std::uint32_t>(ceilDiv(num_nodes_, nd_));
     qs_ = static_cast<std::uint32_t>(ceilDiv(num_nodes_, ns_));
@@ -33,13 +34,21 @@ PartitionedGraph::PartitionedGraph(const CooGraph& g, std::uint32_t nd,
     for (std::size_t i = 0; i < num_shards; ++i)
         shard_offsets_[i + 1] = shard_offsets_[i] + counts[i];
 
-    edges_.resize(g.numEdges());
+    words_.resize(g.numEdges());
+    if (weighted_)
+        weights_.resize(g.numEdges());
     std::vector<EdgeId> cursor(shard_offsets_.begin(),
                                shard_offsets_.end() - 1);
-    for (const Edge& e : g.edges()) {
-        const std::uint32_t idx =
-            shardIndex(srcIntervalOf(e.src), dstIntervalOf(e.dst));
-        edges_[cursor[idx]++] = e;
+    const std::vector<Edge>& edges = g.edges();
+    for (EdgeId i = 0; i < edges.size(); ++i) {
+        const Edge& e = edges[i];
+        const std::uint32_t s = srcIntervalOf(e.src);
+        const std::uint32_t d = dstIntervalOf(e.dst);
+        const EdgeId slot = cursor[shardIndex(s, d)]++;
+        words_[slot] = edgeword::pack(e.src - srcIntervalBase(s),
+                                      e.dst - dstIntervalBase(d));
+        if (weighted_)
+            weights_[slot] = g.weights()[i];
     }
 }
 
@@ -58,6 +67,15 @@ PartitionedGraph::jobSizes() const
         for (std::uint32_t s = 0; s < qs_; ++s)
             sizes[d] += shardSize(s, d);
     return sizes;
+}
+
+std::size_t
+PartitionedGraph::bytes() const
+{
+    return sizeof(PartitionedGraph) +
+           shard_offsets_.capacity() * sizeof(EdgeId) +
+           (words_.capacity() + weights_.capacity()) *
+               sizeof(std::uint32_t);
 }
 
 } // namespace gmoms

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <string_view>
 #include <thread>
 
 #ifdef __linux__
@@ -99,6 +100,8 @@ struct TcpServer::Impl
     struct Conn
     {
         std::string in;
+        /** Bytes of in after its last '\n': the line still arriving. */
+        std::size_t unframed = 0;
         std::string out;
         std::size_t out_off = 0;  //!< bytes of out already written
         bool close_after_flush = false;
@@ -315,20 +318,26 @@ TcpServer::Impl::readable(int fd)
     Conn& conn = it->second;
 
     char buf[64 * 1024];
+    bool flooded = false;
     while (true) {
         const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
         if (n > 0) {
-            conn.in.append(buf, static_cast<std::size_t>(n));
+            const std::size_t got = static_cast<std::size_t>(n);
+            conn.in.append(buf, got);
             {
                 std::lock_guard<std::mutex> lock(stats_mu);
                 stats.bytes_in += static_cast<std::uint64_t>(n);
             }
-            if (conn.in.size() > cfg.max_line_bytes &&
-                conn.in.find('\n') == std::string::npos) {
-                // Unframed flood: stop reading, kill the connection.
-                std::lock_guard<std::mutex> lock(stats_mu);
-                ++stats.frame_overruns;
-                conn.close_after_flush = true;
+            // Only this read can end the unframed tail, so only its
+            // bytes are scanned.
+            const std::size_t nl = std::string_view(buf, got).rfind('\n');
+            conn.unframed = nl == std::string_view::npos
+                                ? conn.unframed + got
+                                : got - nl - 1;
+            if (conn.unframed > cfg.max_line_bytes) {
+                // Unframed flood: stop reading; answer the lines before
+                // it, then kill the connection.
+                flooded = true;
                 break;
             }
             continue;
@@ -380,6 +389,11 @@ TcpServer::Impl::readable(int fd)
             beginDrain();
     }
     conn.in.erase(0, start);
+    if (flooded && !conn.close_after_flush) {
+        std::lock_guard<std::mutex> lock(stats_mu);
+        ++stats.frame_overruns;
+        conn.close_after_flush = true;
+    }
 
     flush(fd, conn);  // may close; conn/it invalid after this
 }

@@ -26,7 +26,9 @@
  *  - oversized frames: a line exceeding max_line_bytes kills only that
  *    connection (one misbehaving client cannot balloon server memory):
  *    the loop stops reading it, flushes the responses it already owes
- *    and closes it;
+ *    and closes it. A line still arriving counts from the last newline
+ *    read, so a flood behind complete lines stops within one 64 KiB
+ *    read of the limit, after those lines are answered;
  *  - half-close: a client that shuts down its write half still gets
  *    every response to the lines it sent, then EOF. The loop reads
  *    nothing more from it and waits on EPOLLOUT alone, so a slow

@@ -224,11 +224,32 @@ class Parser
         } else if (cp < 0x800) {
             s += static_cast<char>(0xC0 | (cp >> 6));
             s += static_cast<char>(0x80 | (cp & 0x3F));
-        } else {
+        } else if (cp < 0x10000) {
             s += static_cast<char>(0xE0 | (cp >> 12));
             s += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
             s += static_cast<char>(0x80 | (cp & 0x3F));
+        } else {
+            s += static_cast<char>(0xF0 | (cp >> 18));
+            s += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+            s += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+            s += static_cast<char>(0x80 | (cp & 0x3F));
         }
+    }
+
+    /** The value of the four hex digits of a \uXXXX escape at @p at. */
+    std::optional<unsigned>
+    hex4(std::size_t at) const
+    {
+        if (at + 4 > text_.size())
+            return std::nullopt;
+        unsigned cp = 0;
+        for (std::size_t i = 0; i < 4; ++i) {
+            unsigned d = 0;
+            if (!hexDigit(text_[at + i], d))
+                return std::nullopt;
+            cp = cp * 16 + d;
+        }
+        return cp;
     }
 
     bool
@@ -270,17 +291,25 @@ class Parser
                     fail("truncated \\u escape");
                     return false;
                 }
-                unsigned cp = 0;
-                for (int i = 0; i < 4; ++i) {
-                    unsigned d = 0;
-                    if (!hexDigit(text_[pos_ + i], d)) {
-                        fail("bad \\u escape");
-                        return false;
-                    }
-                    cp = cp * 16 + d;
+                std::optional<unsigned> cp = hex4(pos_);
+                if (!cp) {
+                    fail("bad \\u escape");
+                    return false;
                 }
                 pos_ += 4;
-                appendUtf8(out, cp);
+                // A high surrogate followed by an escaped low one is one
+                // code point past U+FFFF. A lone surrogate is kept as
+                // its own 3-byte sequence, as Python's json does.
+                if (*cp >= 0xD800 && *cp <= 0xDBFF &&
+                    text_.substr(pos_, 2) == "\\u") {
+                    const std::optional<unsigned> lo = hex4(pos_ + 2);
+                    if (lo && *lo >= 0xDC00 && *lo <= 0xDFFF) {
+                        cp = 0x10000 + ((*cp - 0xD800) << 10) +
+                             (*lo - 0xDC00);
+                        pos_ += 6;
+                    }
+                }
+                appendUtf8(out, *cp);
                 break;
               }
               default: fail("unknown escape"); return false;
@@ -296,6 +325,12 @@ class Parser
         const std::size_t start = pos_;
         if (pos_ < text_.size() && text_[pos_] == '-')
             ++pos_;
+        // RFC 8259: the integer part is 0 or starts with 1-9.
+        if (pos_ + 1 < text_.size() && text_[pos_] == '0' &&
+            std::isdigit(static_cast<unsigned char>(text_[pos_ + 1]))) {
+            fail("leading zero");
+            return false;
+        }
         auto digits = [&] {
             const std::size_t d = pos_;
             while (pos_ < text_.size() &&

@@ -10,14 +10,6 @@
 namespace gmoms::serve
 {
 
-std::uint64_t
-datasetBytes(const CooGraph& g)
-{
-    return sizeof(CooGraph) +
-           static_cast<std::uint64_t>(g.numEdges()) * sizeof(Edge) +
-           g.name.capacity();
-}
-
 DatasetCache::DatasetCache(std::uint64_t budget_bytes)
     : built_(budget_bytes)
 {
@@ -66,7 +58,7 @@ DatasetCache::get(const std::string& tag, Preprocessing prep,
         {
             std::lock_guard<std::mutex> lock(mu_);
             building_.erase(key);
-            built_.put(key, built, datasetBytes(*built));
+            built_.put(key, built, built->bytes());
         }
         build.set_value(built);
         return built;

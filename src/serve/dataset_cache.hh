@@ -51,9 +51,6 @@ namespace gmoms::serve
 
 using DatasetPtr = std::shared_ptr<const CooGraph>;
 
-/** Estimated resident size of a built dataset (edge store dominates). */
-std::uint64_t datasetBytes(const CooGraph& g);
-
 class DatasetCache
 {
   public:

@@ -119,9 +119,9 @@ TEST(Reference, SsspMatchesGoldenOnWeightedGraph)
 TEST(Reference, SsspOnChainComputesPrefixSums)
 {
     CooGraph g = chain(50);
-    for (EdgeId i = 0; i < g.numEdges(); ++i)
-        g.edges()[i].weight = static_cast<std::uint32_t>(i + 1);
     g.setWeighted(true);
+    for (EdgeId i = 0; i < g.numEdges(); ++i)
+        g.weights()[i] = static_cast<std::uint32_t>(i + 1);
     AlgoSpec spec = AlgoSpec::sssp(0);
     ReferenceResult res = runRef(g, spec, 16, 32);
     std::uint32_t expect = 0;
@@ -214,9 +214,8 @@ TEST(Golden, MinLabelOnCycleCollapsesToMinimum)
 
 TEST(Golden, SsspUnreachableStaysInf)
 {
-    CooGraph g(3);
+    CooGraph g(3, /*weighted=*/true);
     g.addEdge(0, 1, 5);
-    g.setWeighted(true);
     auto dist = goldenSssp(g, 0);
     EXPECT_EQ(dist[0], 0u);
     EXPECT_EQ(dist[1], 5u);

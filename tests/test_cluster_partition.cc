@@ -215,12 +215,14 @@ TEST(ClusterPartition, WeightsSurviveIntoLocalGraphs)
     checkInvariants(g, 64, cp);
     // Sum of weights is conserved (every edge lands exactly once).
     std::uint64_t want = 0, got = 0;
-    for (const Edge& e : g.edges())
-        want += e.weight;
+    for (const std::uint32_t w : g.weights())
+        want += w;
     for (std::uint32_t b = 0; b < 3; ++b) {
-        EXPECT_TRUE(cp.shard(b).local.weighted());
-        for (const Edge& e : cp.shard(b).local.edges())
-            got += e.weight;
+        const CooGraph& local = cp.shard(b).local;
+        EXPECT_TRUE(local.weighted());
+        EXPECT_EQ(local.weights().size(), local.numEdges());
+        for (const std::uint32_t w : local.weights())
+            got += w;
     }
     EXPECT_EQ(got, want);
 }

@@ -33,8 +33,8 @@ TEST(Csr, RoundtripPreservesEdgesRowMajor)
     // Every COO edge appears under its source row with its weight.
     std::vector<std::multiset<std::pair<NodeId, std::uint32_t>>>
         expected(g.numNodes());
-    for (const Edge& e : g.edges())
-        expected[e.src].insert({e.dst, e.weight});
+    for (EdgeId i = 0; i < g.numEdges(); ++i)
+        expected[g.edges()[i].src].insert({g.edges()[i].dst, g.weight(i)});
     for (NodeId n = 0; n < g.numNodes(); ++n) {
         auto nbrs = csr.neighbors(n);
         auto w = csr.weights(n);
@@ -281,6 +281,26 @@ TEST(JsonParser, RejectsMalformedDocuments)
     EXPECT_FALSE(parseJson("{} trailing").has_value());
     EXPECT_FALSE(parseJson("\"raw\tcontrol\"").has_value());
     EXPECT_TRUE(parseJson("{\"a\":[1,2,{\"b\":null}]}").has_value());
+}
+
+TEST(JsonParser, RejectsLeadingZeros)
+{
+    for (const char* bad : {"01", "-01", "00", "[01]", "{\"v\":02}"})
+        EXPECT_FALSE(parseJson(bad).has_value()) << bad;
+    for (const char* good : {"0", "-0", "0.5", "-0.25", "0e3", "10", "[0]"})
+        EXPECT_TRUE(parseJson(good).has_value()) << good;
+}
+
+TEST(JsonParser, SurrogatePairIsOneFourByteSequence)
+{
+    const auto pair = parseJson("\"\\ud83d\\ude00\"");
+    ASSERT_TRUE(pair.has_value());
+    EXPECT_EQ(pair->string, "\xF0\x9F\x98\x80");  // U+1F600
+    // A lone surrogate, high or low, stays its own 3-byte sequence; a
+    // high one before a non-surrogate escape pairs with nothing.
+    const auto lone = parseJson("\"\\ud83d\\u0041\\ude00\"");
+    ASSERT_TRUE(lone.has_value());
+    EXPECT_EQ(lone->string, "\xED\xA0\xBD" "A" "\xED\xB8\x80");
 }
 
 TEST(JsonParser, NestingDepthIsCapped)

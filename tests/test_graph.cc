@@ -9,6 +9,8 @@
 #include <cmath>
 #include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "src/accel/session.hh"
 #include "src/graph/coo.hh"
@@ -67,13 +69,14 @@ firstEdgeMismatch(const CooGraph& a, const CooGraph& b)
     for (std::size_t i = 0; i < n; ++i) {
         const Edge& x = a.edges()[i];
         const Edge& y = b.edges()[i];
-        if (x.src != y.src || x.dst != y.dst || x.weight != y.weight)
+        if (x.src != y.src || x.dst != y.dst || a.weight(i) != b.weight(i))
             return static_cast<long>(i);
     }
     return a.numEdges() == b.numEdges() ? -1 : static_cast<long>(n);
 }
 
-/** FNV-1a over every edge's (src, dst, weight), little-endian. */
+/** FNV-1a over every edge's (src, dst, weight), little-endian; the
+ *  weight is 0 on an unweighted graph. */
 std::uint64_t
 edgeFingerprint(const CooGraph& g)
 {
@@ -84,10 +87,10 @@ edgeFingerprint(const CooGraph& g)
             h *= 0x100000001b3ull;
         }
     };
-    for (const Edge& e : g.edges()) {
-        mix(e.src);
-        mix(e.dst);
-        mix(e.weight);
+    for (EdgeId i = 0; i < g.numEdges(); ++i) {
+        mix(g.edges()[i].src);
+        mix(g.edges()[i].dst);
+        mix(g.weight(i));
     }
     return h;
 }
@@ -109,16 +112,39 @@ TEST(CooGraph, DegreesAndReverseEdges)
     EXPECT_EQ(u.outDegrees()[1], 1u);
 }
 
+TEST(CooGraph, WeightsStayOnePerEdge)
+{
+    CooGraph g(3, /*weighted=*/true);
+    g.addEdge(0, 1, 7);
+    g.addEdge(1, 2, 9);
+    CooGraph u = g.withReverseEdges();
+    ASSERT_EQ(u.weights().size(), 4u);
+    EXPECT_EQ(u.weight(0), 7u);
+    EXPECT_EQ(u.weight(1), 7u);
+    EXPECT_EQ(u.weight(2), 9u);
+    EXPECT_EQ(u.weight(3), 9u);
+
+    // Unweighted: no weight is stored and every edge reads 0.
+    g.setWeighted(false);
+    EXPECT_TRUE(g.weights().empty());
+    EXPECT_EQ(g.weight(1), 0u);
+    g.addEdge(2, 0, 5);
+    EXPECT_TRUE(g.weights().empty());
+    // Weighted again: each edge gets weight 0 until set.
+    g.setWeighted(true);
+    EXPECT_EQ(g.weights(), (std::vector<std::uint32_t>{0, 0, 0}));
+}
+
 TEST(CooGraph, RelabelPreservesStructure)
 {
-    CooGraph g(3);
+    CooGraph g(3, /*weighted=*/true);
     g.addEdge(0, 1, 7);
     g.addEdge(1, 2, 9);
     std::vector<NodeId> perm = {2, 0, 1};
     CooGraph r = g.relabeled(perm);
     EXPECT_EQ(r.edges()[0].src, 2u);
     EXPECT_EQ(r.edges()[0].dst, 0u);
-    EXPECT_EQ(r.edges()[0].weight, 7u);
+    EXPECT_EQ(r.weight(0), 7u);
     EXPECT_EQ(r.edges()[1].src, 0u);
     EXPECT_EQ(r.edges()[1].dst, 1u);
 }
@@ -197,8 +223,9 @@ TEST(Generator, WeightsInRange)
     CooGraph g = uniformRandom(100, 1000, 5);
     addRandomWeights(g, 9);
     EXPECT_TRUE(g.weighted());
-    for (const Edge& e : g.edges())
-        EXPECT_LT(e.weight, 256u);
+    ASSERT_EQ(g.weights().size(), g.numEdges());
+    for (const std::uint32_t w : g.weights())
+        EXPECT_LT(w, 256u);
 }
 
 TEST(Generator, RandomPermutationIsPermutation)
@@ -215,31 +242,65 @@ TEST(Partition, EveryEdgeLandsInItsShard)
     EXPECT_EQ(pg.qs(), 4u);
     EXPECT_EQ(pg.numEdges(), g.numEdges());
     EdgeId total = 0;
+    std::vector<std::pair<NodeId, NodeId>> decoded;
     for (std::uint32_t d = 0; d < pg.qd(); ++d) {
         for (std::uint32_t s = 0; s < pg.qs(); ++s) {
-            for (const Edge& e : pg.shardEdges(s, d)) {
-                EXPECT_EQ(pg.srcIntervalOf(e.src), s);
-                EXPECT_EQ(pg.dstIntervalOf(e.dst), d);
+            for (const std::uint32_t w : pg.shardWords(s, d)) {
+                EXPECT_FALSE(edgeword::isTerminating(w));
+                EXPECT_LT(edgeword::srcOff(w), pg.ns());
+                EXPECT_LT(edgeword::dstOff(w), pg.nd());
+                decoded.emplace_back(
+                    pg.srcIntervalBase(s) + edgeword::srcOff(w),
+                    pg.dstIntervalBase(d) + edgeword::dstOff(w));
             }
+            EXPECT_TRUE(pg.shardWeights(s, d).empty());
             total += pg.shardSize(s, d);
         }
     }
     EXPECT_EQ(total, g.numEdges());
+    std::vector<std::pair<NodeId, NodeId>> want;
+    for (const Edge& e : g.edges())
+        want.emplace_back(e.src, e.dst);
+    std::sort(decoded.begin(), decoded.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(decoded, want);
 }
 
 TEST(Partition, PreservesIntraShardEdgeOrder)
 {
-    CooGraph g(64);
-    // Three edges in the same shard; order must be preserved.
+    CooGraph g(64, /*weighted=*/true);
+    // Three edges in the same shard; order must be preserved, with
+    // each weight beside its edge word.
     g.addEdge(1, 2, 100);
+    g.addEdge(40, 50, 400);  // shard (1, 1)
     g.addEdge(5, 9, 200);
     g.addEdge(3, 7, 300);
     PartitionedGraph pg(g, 32, 32);
-    auto shard = pg.shardEdges(0, 0);
-    ASSERT_EQ(shard.size(), 3u);
-    EXPECT_EQ(shard[0].weight, 100u);
-    EXPECT_EQ(shard[1].weight, 200u);
-    EXPECT_EQ(shard[2].weight, 300u);
+    auto words = pg.shardWords(0, 0);
+    auto weights = pg.shardWeights(0, 0);
+    ASSERT_EQ(words.size(), 3u);
+    ASSERT_EQ(weights.size(), 3u);
+    EXPECT_EQ(words[0], edgeword::pack(1, 2));
+    EXPECT_EQ(words[1], edgeword::pack(5, 9));
+    EXPECT_EQ(words[2], edgeword::pack(3, 7));
+    EXPECT_EQ(weights[0], 100u);
+    EXPECT_EQ(weights[1], 200u);
+    EXPECT_EQ(weights[2], 300u);
+    ASSERT_EQ(pg.shardWords(1, 1).size(), 1u);
+    EXPECT_EQ(pg.shardWords(1, 1)[0], edgeword::pack(40 - 32, 50 - 32));
+    EXPECT_EQ(pg.shardWeights(1, 1)[0], 400u);
+}
+
+TEST(Partition, RejectsWeightsOutOfStepWithEdges)
+{
+    // Growing edges() directly skips the weights: partitioning must
+    // refuse the graph rather than pair edges with the wrong weights.
+    CooGraph g(8, /*weighted=*/true);
+    g.addEdge(0, 1, 5);
+    g.edges().push_back(Edge{1, 2});
+    EXPECT_THROW(PartitionedGraph(g, 4, 4), FatalError);
+    g.weights().push_back(6);
+    EXPECT_NO_THROW(PartitionedGraph(g, 4, 4));
 }
 
 TEST(Partition, LastIntervalMayBeShort)

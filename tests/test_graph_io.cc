@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <vector>
 
 #include "src/graph/generator.hh"
 #include "src/graph/io.hh"
@@ -50,8 +53,7 @@ TEST(GraphIo, TextRoundtripWeighted)
     saveEdgeList(g, f.path);
     CooGraph r = loadEdgeList(f.path);
     ASSERT_TRUE(r.weighted());
-    for (EdgeId i = 0; i < g.numEdges(); ++i)
-        EXPECT_EQ(r.edges()[i].weight, g.edges()[i].weight);
+    EXPECT_EQ(r.weights(), g.weights());
 }
 
 TEST(GraphIo, SnapStyleCommentsSkipped)
@@ -97,7 +99,36 @@ TEST(GraphIo, BinaryRoundtripExact)
     for (EdgeId i = 0; i < g.numEdges(); ++i) {
         EXPECT_EQ(r.edges()[i].src, g.edges()[i].src);
         EXPECT_EQ(r.edges()[i].dst, g.edges()[i].dst);
-        EXPECT_EQ(r.edges()[i].weight, g.edges()[i].weight);
+        EXPECT_EQ(r.weight(i), g.weight(i));
+    }
+}
+
+TEST(GraphIo, BinaryKeepsTwelveByteRecords)
+{
+    // The file holds a 32-byte header, then one (src, dst, weight)
+    // record of 32-bit words per edge, whatever the graph holds in
+    // memory; an unweighted graph writes weight 0.
+    TempFile f("gmoms_records.bin");
+    CooGraph g = uniformRandom(1000, 40000, 8);  // spans several chunks
+    saveBinary(g, f.path);
+    std::ifstream in(f.path, std::ios::binary);
+    std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    ASSERT_EQ(bytes.size(), 32u + 12u * g.numEdges());
+    for (const EdgeId i : {0, 16383, 16384, 39999}) {
+        std::uint32_t rec[3];
+        std::memcpy(rec, bytes.data() + 32 + 12 * i, sizeof(rec));
+        EXPECT_EQ(rec[0], g.edges()[i].src);
+        EXPECT_EQ(rec[1], g.edges()[i].dst);
+        EXPECT_EQ(rec[2], 0u);
+    }
+    CooGraph r = loadBinary(f.path);
+    EXPECT_FALSE(r.weighted());
+    EXPECT_TRUE(r.weights().empty());
+    ASSERT_EQ(r.numEdges(), g.numEdges());
+    for (EdgeId i = 0; i < g.numEdges(); ++i) {
+        ASSERT_EQ(r.edges()[i].src, g.edges()[i].src);
+        ASSERT_EQ(r.edges()[i].dst, g.edges()[i].dst);
     }
 }
 

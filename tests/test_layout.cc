@@ -6,6 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "src/accel/session.hh"
+#include "src/graph/datasets.hh"
 #include "src/graph/generator.hh"
 #include "src/sim/log.hh"
 #include "src/graph/layout.hh"
@@ -87,28 +94,34 @@ TEST_F(LayoutFixture, EveryShardDecodesBackToItsEdges)
     BackingStore store;
     layout.build(pg, store);
 
+    // Decode every shard of the image with its interval bases; the
+    // result must be the graph's edge list, shard by shard.
+    std::vector<std::pair<NodeId, NodeId>> decoded;
     for (std::uint32_t d = 0; d < pg.qd(); ++d) {
         for (std::uint32_t s = 0; s < pg.qs(); ++s) {
             const std::uint64_t ptr = store.read64(layout.ptrAddr(s, d));
             EXPECT_TRUE(edgeptr::isActive(ptr));
             const Addr base = 4 * edgeptr::startWord(ptr);
             EXPECT_EQ(base % kLineBytes, 0u) << "shards 64B-aligned";
-            auto expect = pg.shardEdges(s, d);
             std::size_t i = 0;
             for (std::uint64_t w = 0; w < edgeptr::sizeWords(ptr); ++w) {
                 const std::uint32_t word = store.read32(base + 4 * w);
                 if (edgeword::isTerminating(word))
                     break;
-                ASSERT_LT(i, expect.size());
-                EXPECT_EQ(edgeword::srcOff(word),
-                          expect[i].src - s * pg.ns());
-                EXPECT_EQ(edgeword::dstOff(word),
-                          expect[i].dst - d * pg.nd());
+                decoded.emplace_back(
+                    pg.srcIntervalBase(s) + edgeword::srcOff(word),
+                    pg.dstIntervalBase(d) + edgeword::dstOff(word));
                 ++i;
             }
-            EXPECT_EQ(i, expect.size());
+            EXPECT_EQ(i, pg.shardSize(s, d));
         }
     }
+    std::vector<std::pair<NodeId, NodeId>> want;
+    for (const Edge& e : g.edges())
+        want.emplace_back(e.src, e.dst);
+    std::sort(decoded.begin(), decoded.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(decoded, want);
 }
 
 TEST_F(LayoutFixture, WeightedEdgesCarryWeights)
@@ -122,17 +135,20 @@ TEST_F(LayoutFixture, WeightedEdgesCarryWeights)
 
     const std::uint64_t ptr = store.read64(layout.ptrAddr(0, 0));
     const Addr base = 4 * edgeptr::startWord(ptr);
-    auto expect = pg.shardEdges(0, 0);
-    ASSERT_GT(expect.size(), 0u);
+    auto words = pg.shardWords(0, 0);
+    auto weights = pg.shardWeights(0, 0);
+    ASSERT_GT(words.size(), 0u);
+    ASSERT_EQ(weights.size(), words.size());
     std::size_t i = 0;
     for (std::uint64_t w = 0; w + 1 < edgeptr::sizeWords(ptr); w += 2) {
         const std::uint32_t word = store.read32(base + 4 * w);
         if (edgeword::isTerminating(word))
             break;
-        EXPECT_EQ(store.read32(base + 4 * (w + 1)), expect[i].weight);
+        EXPECT_EQ(word, words[i]);
+        EXPECT_EQ(store.read32(base + 4 * (w + 1)), weights[i]);
         ++i;
     }
-    EXPECT_EQ(i, expect.size());
+    EXPECT_EQ(i, words.size());
 }
 
 TEST_F(LayoutFixture, PaddingCarriesTerminatingFlag)
@@ -194,6 +210,55 @@ TEST_F(LayoutFixture, SectionsDoNotOverlap)
     EXPECT_LT(layout.edgeBase(), layout.ptrBase());
     EXPECT_LE(layout.ptrBase() + 8ull * pg.qs() * pg.qd(),
               layout.totalBytes());
+}
+
+/** FNV-1a over every byte of @p pg's DRAM image, laid out the way the
+ *  Accelerator lays it out for @p spec. */
+std::uint64_t
+imageFingerprint(const PartitionedGraph& pg, const AlgoSpec& spec,
+                 bool packed)
+{
+    GraphLayout::Options o;
+    o.has_const = spec.has_const;
+    o.synchronous = spec.synchronous;
+    o.packed = packed;
+    o.init_value = [&spec](NodeId n) { return spec.initialValue(n); };
+    if (spec.has_const)
+        o.const_value = [&spec](NodeId n) { return spec.constValue(n); };
+    GraphLayout layout(pg, o);
+    EXPECT_EQ(layout.packed(), packed);
+    BackingStore store;
+    layout.build(pg, store);
+    std::vector<std::uint8_t> bytes(store.size());
+    store.readBytes(0, bytes.data(), bytes.size());
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(LayoutImage, WtImagesArePinned)
+{
+    // WT at seed 1 (19,609 edges, nd 195, ns 390) through a Session:
+    // PageRank on the plain partition and SSSP on the weighted view,
+    // each in the plain and the packed encoding. A shard decoded with
+    // the wrong interval base, or weights out of shard order, moves
+    // these image fingerprints.
+    const Session s(std::make_shared<const CooGraph>(
+                        buildDataset(datasetByTag("WT"), 1)),
+                    AccelConfig{});
+    const AlgoSpec pagerank = AlgoSpec::pageRank(s.graph(), 2);
+    const AlgoSpec sssp = AlgoSpec::sssp(0);
+    EXPECT_EQ(imageFingerprint(s.partition(), pagerank, false),
+              0x34bc71c6bd2334fcull);
+    EXPECT_EQ(imageFingerprint(s.partition(), pagerank, true),
+              0x76bd76cd895c8ff4ull);
+    EXPECT_EQ(imageFingerprint(s.weightedPartition(), sssp, false),
+              0x44f9ba3284343f78ull);
+    EXPECT_EQ(imageFingerprint(s.weightedPartition(), sssp, true),
+              0x1d1628ae19783b66ull);
 }
 
 } // namespace

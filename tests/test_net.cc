@@ -7,7 +7,9 @@
  * kill of a single connection, a too-deeply nested line answered as a
  * bad request on a live connection, a half-closed slow reader and a
  * frame overrun behind unflushed responses (neither is read again:
- * no spinning on EOF, no buffering of the flood), graceful
+ * no spinning on EOF, no buffering of the flood), an unframed flood
+ * behind a complete line (an overrun once the tail after the last
+ * newline passes the limit), graceful
  * drain-and-exit on a quit request, and the per-layer latency
  * breakdown. Skipped on non-Linux hosts where start() reports the
  * stubbed backend.
@@ -497,6 +499,41 @@ TEST(TcpServer, OverrunBehindUnflushedResponsesStopsReading)
     // closes it (unread flood bytes may turn that close into a reset).
     flooder.readToEof();
     EXPECT_TRUE(waitFor([&] { return server.stats().active == 1; }));
+}
+
+TEST(TcpServer, UnframedFloodAfterACompleteLineIsAnOverrun)
+{
+    TcpServerConfig cfg = loopback();
+    cfg.max_line_bytes = 4096;
+    TcpServer server(cfg, [](const std::string& line) {
+        HandlerResult out;
+        out.line = "echo:" + line;
+        return out;
+    });
+    START_OR_SKIP(server);
+    SlowReader flooder(server.port());
+    ASSERT_TRUE(flooder.connected());
+
+    // One complete line, then a burst with no newline: the unframed
+    // tail counts from that line's newline, not from the buffer start.
+    ASSERT_TRUE(flooder.send("x\n"));
+    flooder.flood(4u << 20);
+    ASSERT_TRUE(
+        waitFor([&] { return server.stats().frame_overruns > 0; }));
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const TcpServer::Stats stats = server.stats();
+    EXPECT_EQ(stats.frame_overruns, 1u);
+    EXPECT_EQ(stats.requests, 1u);
+    EXPECT_LE(stats.bytes_in, 2 + cfg.max_line_bytes + 64 * 1024);
+
+    // Another client is still served.
+    LineClient other;
+    ASSERT_TRUE(other.connect("127.0.0.1", server.port()));
+    EXPECT_EQ(other.roundTrip("hi").value_or(""), "echo:hi");
+
+    // The complete line got its one response before the close.
+    const auto [lines, eof] = flooder.readToEof();
+    EXPECT_EQ(lines, std::vector<std::string>{"echo:x"});
 }
 
 #endif // __linux__

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <map>
+#include <tuple>
 
 #include "src/accel/accelerator.hh"
 #include "src/accel/session.hh"
@@ -35,9 +36,26 @@ opts(bool packed)
     return o;
 }
 
+/** One decoded edge with its weight (0 when unweighted). */
+using WEdge = std::tuple<NodeId, NodeId, std::uint32_t>;
+
+/** Edges of shard E_{s->d} as (src, dst, weight), in shard order. */
+std::vector<WEdge>
+shardEdges(const PartitionedGraph& pg, std::uint32_t s, std::uint32_t d)
+{
+    const auto words = pg.shardWords(s, d);
+    const auto weights = pg.shardWeights(s, d);
+    std::vector<WEdge> out;
+    for (std::size_t i = 0; i < words.size(); ++i)
+        out.emplace_back(pg.srcIntervalBase(s) + edgeword::srcOff(words[i]),
+                         pg.dstIntervalBase(d) + edgeword::dstOff(words[i]),
+                         weights.empty() ? 0u : weights[i]);
+    return out;
+}
+
 /** Decode the packed edge section of @p layout back into per-shard
  *  (src, dst, weight) lists, walking exactly like the PE does. */
-std::vector<Edge>
+std::vector<WEdge>
 decodePacked(const GraphLayout& layout, const BackingStore& store,
              const PartitionedGraph& pg, std::uint32_t s,
              std::uint32_t d)
@@ -50,7 +68,7 @@ decodePacked(const GraphLayout& layout, const BackingStore& store,
         return static_cast<std::uint16_t>(h % 2 ? w >> 16
                                                 : w & 0xffffu);
     };
-    std::vector<Edge> out;
+    std::vector<WEdge> out;
     std::uint32_t open_src = 0;
     bool has_src = false;
     for (std::uint64_t h = 0; h < halves;) {
@@ -70,15 +88,15 @@ decodePacked(const GraphLayout& layout, const BackingStore& store,
         EXPECT_TRUE(has_src);
         if (h % packedcsr::kHalfwordsPerLine == 0)
             ADD_FAILURE() << "line opened with a destination half-word";
-        Edge e;
-        e.src = static_cast<NodeId>(s) * pg.ns() + open_src;
-        e.dst = pg.dstIntervalBase(d) + packedcsr::dstOff(hw);
+        const NodeId src = pg.srcIntervalBase(s) + open_src;
+        const NodeId dst = pg.dstIntervalBase(d) + packedcsr::dstOff(hw);
         ++h;
+        std::uint32_t weight = 0;
         if (pg.weighted()) {
-            e.weight = half(h);
+            weight = half(h);
             ++h;
         }
-        out.push_back(e);
+        out.emplace_back(src, dst, weight);
         // The self-containment invariant: a (destination, weight) pair
         // never splits across lines, which the cursor walk above
         // implicitly checks by reading the weight without a line test.
@@ -95,26 +113,19 @@ expectRoundTrip(const CooGraph& g, std::uint32_t nd, std::uint32_t ns)
     BackingStore store;
     layout.build(pg, store);
 
-    auto key = [](const Edge& e) {
-        return std::make_tuple(e.dst, e.src, e.weight);
-    };
     for (std::uint32_t d = 0; d < pg.qd(); ++d) {
         for (std::uint32_t s = 0; s < pg.qs(); ++s) {
-            std::vector<Edge> got =
+            std::vector<WEdge> got =
                 decodePacked(layout, store, pg, s, d);
-            const auto span = pg.shardEdges(s, d);
-            std::vector<Edge> want(span.begin(), span.end());
+            std::vector<WEdge> want = shardEdges(pg, s, d);
             ASSERT_EQ(got.size(), want.size())
                 << "shard s=" << s << " d=" << d;
             // The packed encoder reorders within the shard (grouped by
             // source) — compare as sorted lists.
-            auto lt = [&](const Edge& a, const Edge& b) {
-                return key(a) < key(b);
-            };
-            std::sort(got.begin(), got.end(), lt);
-            std::sort(want.begin(), want.end(), lt);
+            std::sort(got.begin(), got.end());
+            std::sort(want.begin(), want.end());
             for (std::size_t i = 0; i < got.size(); ++i)
-                EXPECT_EQ(key(got[i]), key(want[i]))
+                EXPECT_EQ(got[i], want[i])
                     << "shard s=" << s << " d=" << d << " edge " << i;
         }
     }
@@ -168,7 +179,7 @@ TEST(PackedCsr, FallsBackOnOversizedWeights)
     for (NodeId i = 0; i + 1 < 128; ++i)
         g.addEdge(i, i + 1);
     addRandomWeights(g, 3);
-    g.edges()[5].weight = 0x10000;  // one 17-bit weight poisons it
+    g.weights()[5] = 0x10000;  // one 17-bit weight poisons it
     const PartitionedGraph pg(g, 64, 128);
     GraphLayout layout(pg, opts(true));
     EXPECT_FALSE(layout.packed());  // silent fallback to plain
@@ -216,23 +227,22 @@ std::vector<std::uint16_t>
 referencePackShard(const PartitionedGraph& pg, std::uint32_t s,
                    std::uint32_t d)
 {
-    const auto span = pg.shardEdges(s, d);
-    std::vector<Edge> edges(span.begin(), span.end());
+    std::vector<WEdge> edges = shardEdges(pg, s, d);
     std::stable_sort(edges.begin(), edges.end(),
-                     [](const Edge& a, const Edge& b) {
-                         return a.src < b.src;
+                     [](const WEdge& a, const WEdge& b) {
+                         return std::get<0>(a) < std::get<0>(b);
                      });
 
     constexpr std::uint32_t hpl = packedcsr::kHalfwordsPerLine;
     const std::uint32_t dst_units = pg.weighted() ? 2 : 1;
     const NodeId dst_base = pg.dstIntervalBase(d);
-    const NodeId src_base = static_cast<NodeId>(s) * pg.ns();
+    const NodeId src_base = pg.srcIntervalBase(s);
 
     std::vector<std::uint16_t> out;
     std::uint32_t open_src = ~0u;
-    for (const Edge& e : edges) {
-        const std::uint32_t dst_off = e.dst - dst_base;
-        const std::uint32_t src_off = e.src - src_base;
+    for (const auto& [src, dst, weight] : edges) {
+        const std::uint32_t dst_off = dst - dst_base;
+        const std::uint32_t src_off = src - src_base;
         const std::uint32_t pos = out.size() % hpl;
         bool need_sel = pos == 0 || src_off != open_src;
         if (hpl - pos < (need_sel ? 1 : 0) + dst_units) {
@@ -246,7 +256,7 @@ referencePackShard(const PartitionedGraph& pg, std::uint32_t s,
         }
         out.push_back(packedcsr::destination(dst_off));
         if (pg.weighted())
-            out.push_back(static_cast<std::uint16_t>(e.weight));
+            out.push_back(static_cast<std::uint16_t>(weight));
     }
     if (out.empty())
         out.push_back(packedcsr::kPad);

@@ -69,6 +69,8 @@ TEST(ProtocolV2, UnversionedV1BrokenAndUnknownLinesAreBadRequests)
          "\"v\":2"},
         {R"({"v":2,"op":"stats"})", "", "\"request_id\""},
         {"{\"broken", "", "bad JSON"},
+        // A leading zero is not JSON: "v":02 is no version 2.
+        {R"({"v":02,"request_id":"z","op":"stats"})", "", "bad JSON"},
         {R"({"v":2,"request_id":"z","op":"zap"})", "z",
          "unknown op \"zap\""},
     };
@@ -90,6 +92,9 @@ TEST(ProtocolV2, UnversionedV1BrokenAndUnknownLinesAreBadRequests)
     // An unversioned line with no request_id lists both problems.
     EXPECT_EQ(decodeRequestLine(R"({"op":"stats"})").problems.size(),
               2u);
+    EXPECT_EQ(decodeRequestLine(R"({"v":02,"request_id":"z","op":"stats"})")
+                  .problems.size(),
+              1u);
     // None of them reached the service.
     EXPECT_EQ(service.stats().submitted, 0u);
     EXPECT_FALSE(quit);

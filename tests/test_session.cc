@@ -118,6 +118,42 @@ TEST(Session, NonePreprocessingKeepsLabels)
         EXPECT_EQ(session.internalId(n), n);
 }
 
+TEST(Session, ResidentBytesFollowTheContainers)
+{
+    // M edges at 8 B, 4 B more per weight; a partition holds one 4-byte
+    // word per edge (and its weight when weighted) plus one 8-byte
+    // offset per shard and one more.
+    constexpr std::size_t kEdges = 5000;
+    const CooGraph g = uniformRandom(1000, kEdges, 3);
+    const std::size_t name = g.name.capacity();
+    const std::size_t plain_view = sizeof(CooGraph) + 8 * kEdges + name;
+    const std::size_t weighted_view =
+        sizeof(CooGraph) + 12 * kEdges + name;
+
+    // No preprocessing: the plain view is the source graph itself.
+    Session s = makeSession(g, Preprocessing::None);
+    const PartitionedGraph& pg = s.partition();
+    const std::size_t offsets =
+        8 * (static_cast<std::size_t>(pg.qs()) * pg.qd() + 1);
+    const std::size_t plain_part =
+        sizeof(PartitionedGraph) + offsets + 4 * kEdges;
+    const std::size_t weighted_part =
+        sizeof(PartitionedGraph) + offsets + 8 * kEdges;
+    EXPECT_EQ(s.residentBytes(), sizeof(Session) + plain_view + plain_part);
+
+    // An SSSP warm adds the weighted view and its partition.
+    s.weightedPartition();
+    EXPECT_EQ(s.residentBytes(), sizeof(Session) + plain_view + plain_part +
+                                     weighted_view + weighted_part);
+
+    // Relabelling adds a relabelled plain view and the two id tables.
+    Session relabelled = makeSession(g, Preprocessing::DbgHash);
+    relabelled.partition();
+    EXPECT_EQ(relabelled.residentBytes(),
+              sizeof(Session) + 2 * plain_view + plain_part +
+                  2 * 4 * std::size_t{g.numNodes()});
+}
+
 TEST(Session, RejectsEmptyGraph)
 {
     EXPECT_THROW(SessionBuilder()

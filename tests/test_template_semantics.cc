@@ -45,12 +45,11 @@ TEST(TemplateSemantics, InactiveSourceIntervalsSkipTheirEdges)
     // never activates the second half's source intervals after the
     // first iteration.
     const NodeId half = 512;
-    CooGraph g(2 * half);
+    CooGraph g(2 * half, /*weighted=*/true);
     for (NodeId i = 0; i + 1 < half; ++i)
         g.addEdge(i, i + 1, 1);
     for (NodeId i = half; i + 1 < 2 * half; ++i)
         g.addEdge(i, i + 1, 1);
-    g.setWeighted(true);
     AlgoSpec sssp = AlgoSpec::sssp(0, 1000);
     PartitionedGraph pg(g, 128, 256);  // halves in separate intervals
     ReferenceResult res = runReference(pg, sssp);
@@ -75,12 +74,11 @@ TEST(TemplateSemantics, TimedAcceleratorSkipsInactiveShards)
     // late iterations should shrink, visible as total read bytes well
     // below iterations * edge bytes.
     const NodeId half = 512;
-    CooGraph g(2 * half);
+    CooGraph g(2 * half, /*weighted=*/true);
     for (NodeId i = 0; i + 1 < half; ++i)
         g.addEdge(i, i + 1, 1);
     for (NodeId i = half; i + 1 < 2 * half; ++i)
         g.addEdge(i, i + 1, 1);
-    g.setWeighted(true);
     AlgoSpec sssp = AlgoSpec::sssp(0, 1000);
     AccelConfig cfg;
     cfg.num_pes = 2;
