@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the Fig. 4 DRAM layout: edge compression, pointer
- * packing, section placement and active-flag handling.
+ * packing, section placement, active-flag handling and pinned images.
  */
 
 #include <gtest/gtest.h>
@@ -94,8 +94,8 @@ TEST_F(LayoutFixture, EveryShardDecodesBackToItsEdges)
     BackingStore store;
     layout.build(pg, store);
 
-    // Decode every shard of the image with its interval bases; the
-    // result must be the graph's edge list, shard by shard.
+    // Decode every shard of the image with its interval bases; sorted,
+    // the decoded edges must be the graph's.
     std::vector<std::pair<NodeId, NodeId>> decoded;
     for (std::uint32_t d = 0; d < pg.qd(); ++d) {
         for (std::uint32_t s = 0; s < pg.qs(); ++s) {
