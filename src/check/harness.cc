@@ -36,6 +36,26 @@ sumQueued(const std::vector<std::unique_ptr<MomsBank>>& banks,
 
 } // namespace
 
+std::vector<std::string>
+boundViolations(const RunBounds& run)
+{
+    std::vector<std::string> out;
+    auto check = [&](const std::vector<RunBounds::Count>& units,
+                     std::uint64_t per_cycle, const char* what) {
+        for (const RunBounds::Count& u : units)
+            if (u.value > run.cycles * per_cycle)
+                out.push_back(u.name + ": " + std::to_string(u.value) +
+                              " " + what + " in " +
+                              std::to_string(run.cycles) +
+                              " cycles, above " +
+                              std::to_string(per_cycle) + " per cycle");
+    };
+    check(run.pe_edges, 1, "edges gathered");
+    check(run.channel_bytes, run.bus_bytes_per_cycle, "bytes moved");
+    check(run.bank_requests, 1, "requests accepted");
+    return out;
+}
+
 CheckHarness::CheckHarness(Engine& engine, const CheckConfig& cfg,
                            Wiring wiring)
     : Component("check"), engine_(engine), cfg_(cfg), w_(wiring),
@@ -236,6 +256,33 @@ CheckHarness::conservationReport(std::vector<std::string>* violations,
     };
     audit(moms.privateBanks());
     audit(moms.sharedBanks());
+
+    // --- physical bounds over the whole run (drain only: a channel
+    //     counts a transaction's bytes before its bus cycles pass) ----
+    if (at_drain) {
+        RunBounds run;
+        run.cycles = engine_.now();
+        if (w_.pes)
+            for (const auto& pe : *w_.pes)
+                run.pe_edges.push_back(
+                    {pe->name(), pe->stats().edges_processed});
+        if (w_.mem) {
+            run.bus_bytes_per_cycle =
+                w_.mem->substrate().timing.bus_bytes_per_cycle;
+            for (std::uint32_t c = 0; c < w_.mem->numChannels(); ++c) {
+                const MemChannel& ch = w_.mem->channel(c);
+                run.channel_bytes.push_back(
+                    {ch.name(),
+                     ch.stats().bytes_read + ch.stats().bytes_written});
+            }
+        }
+        for (const auto* banks : {&moms.privateBanks(), &moms.sharedBanks()})
+            for (const auto& b : *banks)
+                run.bank_requests.push_back(
+                    {b->name(), b->stats().requests});
+        for (const std::string& v : boundViolations(run))
+            violate("bound: " + v);
+    }
 
     return out.str();
 }

@@ -22,7 +22,8 @@
  *  - drain: verifyDrained() after the end-of-run drain checks the
  *    conservation invariants (MSHR allocate/free balance, subentry
  *    leaks, request/response token balance across the crossbars and
- *    die-crossing queues) that must hold in a truly drained system.
+ *    die-crossing queues) that must hold in a truly drained system,
+ *    and the physical bounds of boundViolations().
  *
  * Only constructed when AccelConfig::checks.enabled; otherwise no
  * object exists and nothing is ever polled (zero-cost-when-off, see
@@ -49,6 +50,29 @@ class MomsSystem;
 class Pe;
 class Scheduler;
 class Telemetry;
+
+/** Per-unit totals of a finished run, for the physical-bound audit. */
+struct RunBounds
+{
+    struct Count
+    {
+        std::string name;
+        std::uint64_t value = 0;
+    };
+
+    std::uint64_t cycles = 0;
+    std::uint64_t bus_bytes_per_cycle = 0;  //!< per channel
+    std::vector<Count> pe_edges;       //!< edges gathered, per PE
+    std::vector<Count> channel_bytes;  //!< bytes read + written
+    std::vector<Count> bank_requests;  //!< requests accepted, per bank
+};
+
+/**
+ * One line per broken bound, naming the unit: a PE gathers at most one
+ * edge per cycle, a channel moves at most bus_bytes_per_cycle per
+ * cycle, and a MOMS bank accepts at most one request per cycle.
+ */
+std::vector<std::string> boundViolations(const RunBounds& run);
 
 class CheckHarness : public Component
 {

@@ -64,9 +64,17 @@ class MemChannel final : public Component
     {
         return *req_ports_[port];
     }
+    const TimedQueue<MemReq>& reqPort(std::uint32_t port) const
+    {
+        return *req_ports_[port];
+    }
 
     /** Response queue for requester port @p port. */
     TimedQueue<MemResp>& respPort(std::uint32_t port)
+    {
+        return *resp_ports_[port];
+    }
+    const TimedQueue<MemResp>& respPort(std::uint32_t port) const
     {
         return *resp_ports_[port];
     }

@@ -7,9 +7,11 @@
  * backpressure: push() fails when the queue is full, and the producer must
  * retry in a later cycle (exactly like a ready/valid handshake).
  *
- * Storage is a preallocated ring buffer (capacity is fixed at
- * construction), so pushes and pops never allocate. T must be
- * default-constructible (all link payloads are plain aggregates).
+ * Capacity is the modelled bound; host storage follows occupancy: the
+ * tokens live in a RingDeque that starts unallocated and doubles on a
+ * full push, so it holds bit_ceil(peak occupancy) slots, none for a
+ * queue that never carries a token. T must be default-constructible
+ * (all link payloads are plain aggregates).
  *
  * Wake hooks for the idle-aware engine: when a producer/consumer
  * component is bound via setProducer()/setConsumer(), a push wakes the
@@ -39,10 +41,10 @@
 #include <cstdint>
 #include <cstring>
 #include <utility>
-#include <vector>
 
 #include "src/sim/engine.hh"
 #include "src/sim/queue_probe.hh"
+#include "src/sim/ring_deque.hh"
 #include "src/sim/types.hh"
 
 namespace gmoms
@@ -59,7 +61,7 @@ class TimedQueue
      */
     TimedQueue(const Engine& engine, std::size_t capacity, Cycle latency = 1)
         : engine_(&engine), capacity_(capacity), latency_(latency),
-          ring_(capacity)
+          ring_(0)
     {
         assert(latency_ >= 1 && "zero-latency links break tick-order "
                "independence");
@@ -73,13 +75,7 @@ class TimedQueue
 
     /** Attach an occupancy probe (telemetry); nullptr detaches. The
      *  probe must outlive the queue or be detached first. */
-    void
-    attachProbe(QueueProbe* probe)
-    {
-        probe_ = probe;
-        if (probe_)
-            probe_->onChange(engine_->now(), size_);
-    }
+    void attachProbe(QueueProbe* probe) { ring_.attachProbe(probe, engine_); }
 
     /**
      * Keep *@p flag equal to "holds a token": the push into an empty
@@ -91,14 +87,14 @@ class TimedQueue
     bindOccupancy(std::uint8_t* flag)
     {
         occupancy_ = flag;
-        *occupancy_ = size_ != 0;
+        *occupancy_ = !ring_.empty();
     }
 
     /** True if a push this cycle would be accepted. */
-    bool canPush() const { return size_ < capacity_; }
+    bool canPush() const { return ring_.size() < capacity_; }
 
     /** Free slots right now. */
-    std::size_t freeSlots() const { return capacity_ - size_; }
+    std::size_t freeSlots() const { return capacity_ - ring_.size(); }
 
     /**
      * Push a token; visible to the consumer after the link latency.
@@ -107,17 +103,13 @@ class TimedQueue
     bool
     push(T item)
     {
-        if (size_ == capacity_)
+        if (ring_.size() == capacity_)
             return false;
-        Slot& slot = ring_[wrap(head_ + size_)];
-        slot.item = std::move(item);
-        slot.ready = engine_->now() + latency_;
-        ++size_;
-        if (size_ == 1 && occupancy_)
+        const Cycle ready = engine_->now() + latency_;
+        ring_.push_back(Slot{std::move(item), ready});
+        if (ring_.size() == 1 && occupancy_)
             *occupancy_ = 1;
-        if (probe_)
-            probe_->onChange(engine_->now(), size_);
-        Engine::wake(consumer_, slot.ready);
+        Engine::wake(consumer_, ready);
         return true;
     }
 
@@ -125,15 +117,17 @@ class TimedQueue
     bool
     canPop() const
     {
-        return size_ != 0 && ring_[head_].ready <= engine_->now();
+        return !ring_.empty() && ring_.front().ready <= engine_->now();
     }
 
-    /** Head token; only valid when canPop(). */
+    /** Head token; only valid when canPop(). The reference is valid
+     *  only until the next push to this queue: a push may grow the
+     *  ring and move every token. */
     const T&
     front() const
     {
         assert(canPop());
-        return ring_[head_].item;
+        return ring_.front().item;
     }
 
     /** Remove and return the head token; only valid when canPop(). */
@@ -141,14 +135,11 @@ class TimedQueue
     pop()
     {
         assert(canPop());
-        const bool was_full = size_ == capacity_;
-        T item = std::move(ring_[head_].item);
-        head_ = wrap(head_ + 1);
-        --size_;
-        if (size_ == 0 && occupancy_)
+        const bool was_full = ring_.size() == capacity_;
+        T item = std::move(ring_.front().item);
+        ring_.pop_front();
+        if (ring_.empty() && occupancy_)
             *occupancy_ = 0;
-        if (probe_)
-            probe_->onChange(engine_->now(), size_);
         if (was_full)
             Engine::wake(producer_, engine_->now());
         return item;
@@ -159,13 +150,18 @@ class TimedQueue
     Cycle
     peekReadyCycle() const
     {
-        return size_ != 0 ? ring_[head_].ready : kCycleNever;
+        return !ring_.empty() ? ring_.front().ready : kCycleNever;
     }
 
-    bool empty() const { return size_ == 0; }
-    std::size_t size() const { return size_; }
+    bool empty() const { return ring_.empty(); }
+    std::size_t size() const { return ring_.size(); }
     std::size_t capacity() const { return capacity_; }
     Cycle latency() const { return latency_; }
+
+    /** Host slots allocated (0 until the first push, then
+     *  bit_ceil(peak occupancy)) and bytes per slot. */
+    std::size_t storageSlots() const { return ring_.capacity(); }
+    static constexpr std::size_t slotBytes() { return sizeof(Slot); }
 
   private:
     struct Slot
@@ -174,21 +170,13 @@ class TimedQueue
         Cycle ready = 0;
     };
 
-    std::size_t wrap(std::size_t i) const
-    {
-        return i >= capacity_ ? i - capacity_ : i;
-    }
-
     const Engine* engine_;
     std::size_t capacity_;
     Cycle latency_;
-    std::vector<Slot> ring_;
+    RingDeque<Slot> ring_;  //!< oldest token at the front; holds the probe
     Component* producer_ = nullptr;
     Component* consumer_ = nullptr;
-    QueueProbe* probe_ = nullptr;
     std::uint8_t* occupancy_ = nullptr;
-    std::size_t head_ = 0;  //!< index of the oldest token
-    std::size_t size_ = 0;
 };
 
 /** Bytes of an occupancy row over @p n queues: whole 8-byte words, so

@@ -3,20 +3,28 @@
  * FlatMap and RingDeque — the hot-path replacements for
  * std::unordered_map and std::deque — pinned against the standard
  * containers they replaced, including the capacity-boundary,
- * wraparound and erase-reinsert regimes the simulator exercises.
+ * wraparound and erase-reinsert regimes the simulator exercises; and
+ * TimedQueue, which keeps its tokens in a RingDeque, pinned against a
+ * reference deque of (token, ready cycle).
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
+#include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "src/sim/engine.hh"
 #include "src/sim/flat_map.hh"
 #include "src/sim/ring_deque.hh"
 #include "src/sim/rng.hh"
+#include "src/sim/timed_queue.hh"
 
 namespace gmoms
 {
@@ -254,6 +262,148 @@ TEST(RingDeque, ClearEmptiesAndStaysUsable)
     q.push_back(5);
     EXPECT_EQ(q.front(), 5);
     EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(RingDeque, ZeroCapacityAllocatesOnFirstPushAndGrowsByDoubling)
+{
+    RingDeque<int> q(0);
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.size(), 0u);
+    EXPECT_EQ(q.capacity(), 0u);
+    q.clear();
+    EXPECT_EQ(q.capacity(), 0u);
+    q.push_back(1);
+    EXPECT_EQ(q.capacity(), 1u);
+    EXPECT_EQ(q.front(), 1);
+    EXPECT_EQ(q.back(), 1);
+    for (int i = 2; i <= 5; ++i)
+        q.push_back(i);
+    EXPECT_EQ(q.capacity(), 8u);
+    for (int i = 1; i <= 5; ++i) {
+        EXPECT_EQ(q.front(), i);
+        q.pop_front();
+    }
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(RingDeque, PopReleasesANonTrivialPayload)
+{
+    RingDeque<std::shared_ptr<int>> q(0);
+    auto p = std::make_shared<int>(7);
+    q.push_back(p);
+    q.push_back(p);
+    EXPECT_EQ(p.use_count(), 3);
+    q.pop_front();
+    EXPECT_EQ(p.use_count(), 2);
+    q.clear();
+    EXPECT_EQ(p.use_count(), 1);
+}
+
+// ------------------------------------------------------------- TimedQueue
+
+/** Logs the cycles it is ticked at. Sleeps until woken, or, given a
+ *  queue to consume, until the queue's head token is ready (a
+ *  consumer's quiescence contract). */
+class TickLog : public Component
+{
+  public:
+    TickLog(const Engine& eng, const char* name,
+            const TimedQueue<std::uint64_t>* consumes = nullptr)
+        : Component(name), eng_(eng), consumes_(consumes)
+    {
+    }
+    void tick() override { ticked.insert(eng_.now()); }
+    Cycle
+    nextActivity() const override
+    {
+        return consumes_ ? consumes_->peekReadyCycle() : kCycleNever;
+    }
+
+    std::set<Cycle> ticked;
+
+  private:
+    const Engine& eng_;
+    const TimedQueue<std::uint64_t>* consumes_;
+};
+
+TEST(TimedQueue, RandomizedParityWithReferenceDeque)
+{
+    for (const std::size_t cap : {1, 3, 16, 34, 256}) {
+        for (const Cycle lat : {1, 2, 32}) {
+            SCOPED_TRACE("capacity " + std::to_string(cap) +
+                         ", latency " + std::to_string(lat));
+            Engine eng;
+            TimedQueue<std::uint64_t> q(eng, cap, lat);
+            TickLog consumer(eng, "consumer", &q);
+            TickLog producer(eng, "producer");
+            eng.add(&consumer);
+            eng.add(&producer);
+            q.setConsumer(&consumer);
+            q.setProducer(&producer);
+            std::uint8_t flag = 1;
+            q.bindOccupancy(&flag);
+            EXPECT_EQ(flag, 0);
+            EXPECT_EQ(q.storageSlots(), 0u);
+
+            std::deque<std::pair<std::uint64_t, Cycle>> ref;
+            std::vector<Cycle> ready_cycles, full_pops;
+            std::uint64_t wakes = 0;
+            std::size_t peak = 0;
+            Rng rng(cap * 100 + lat);
+            for (int op = 0; op < 4000; ++op) {
+                // Phases biased toward pushes, then pops, so every
+                // capacity is filled and drained repeatedly.
+                const bool fill = (op / 500) % 2 == 0;
+                const std::uint64_t r = rng.below(10);
+                if (r < (fill ? 7u : 1u)) {
+                    const std::uint64_t v = rng.next();
+                    const bool room = ref.size() < cap;
+                    ASSERT_EQ(q.canPush(), room);
+                    ASSERT_EQ(q.push(v), room);
+                    if (room) {
+                        ref.emplace_back(v, eng.now() + lat);
+                        ready_cycles.push_back(eng.now() + lat);
+                        ++wakes;  // the consumer, at the ready cycle
+                    }
+                } else if (r < 8) {
+                    const bool ready = !ref.empty() &&
+                                       ref.front().second <= eng.now();
+                    ASSERT_EQ(q.canPop(), ready);
+                    if (ready) {
+                        const bool was_full = ref.size() == cap;
+                        ASSERT_EQ(q.front(), ref.front().first);
+                        ASSERT_EQ(q.pop(), ref.front().first);
+                        ref.pop_front();
+                        if (was_full) {
+                            full_pops.push_back(eng.now());
+                            ++wakes;  // the producer, this cycle
+                        }
+                    }
+                } else {
+                    eng.tick();
+                }
+                peak = std::max(peak, ref.size());
+                ASSERT_EQ(q.size(), ref.size());
+                ASSERT_EQ(q.empty(), ref.empty());
+                ASSERT_EQ(q.freeSlots(), cap - ref.size());
+                ASSERT_EQ(flag, ref.empty() ? 0 : 1);
+                ASSERT_EQ(q.peekReadyCycle(),
+                          ref.empty() ? kCycleNever : ref.front().second);
+                ASSERT_EQ(eng.stats().wakes, wakes);
+                ASSERT_LE(q.storageSlots(), std::bit_ceil(peak));
+                ASSERT_GE(q.storageSlots(), peak);
+            }
+            EXPECT_EQ(peak, cap);
+            // Run past the last ready cycle: each wake was a tick.
+            for (Cycle i = 0; i <= lat; ++i)
+                eng.tick();
+            for (const Cycle c : ready_cycles)
+                EXPECT_TRUE(consumer.ticked.count(c)) << "cycle " << c;
+            for (const Cycle c : full_pops)
+                EXPECT_TRUE(producer.ticked.count(c)) << "cycle " << c;
+            EXPECT_FALSE(full_pops.empty());
+        }
+    }
 }
 
 } // namespace

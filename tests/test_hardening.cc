@@ -18,6 +18,7 @@
 #include "src/accel/session.hh"
 #include "src/algo/golden.hh"
 #include "src/check/check_config.hh"
+#include "src/check/harness.hh"
 #include "src/graph/generator.hh"
 #include "src/sim/log.hh"
 #include "src/sim/parallel.hh"
@@ -373,6 +374,30 @@ TEST(Hardening, HealthyRunPassesDrainAudit)
     std::vector<std::uint32_t> golden = goldenMinLabel(g);
     ASSERT_EQ(res.run.raw_values.size(), golden.size());
     EXPECT_EQ(res.run.raw_values, golden);
+}
+
+TEST(Hardening, BoundAuditNamesEachBrokenBound)
+{
+    // 10 cycles on 64-byte channels: the limits are 10 edges per PE,
+    // 640 bytes per channel and 10 requests per bank.
+    RunBounds run;
+    run.cycles = 10;
+    run.bus_bytes_per_cycle = 64;
+    run.pe_edges = {{"pe0", 10}, {"pe1", 11}};
+    run.channel_bytes = {{"mem.ch0", 640}, {"mem.ch1", 641}};
+    run.bank_requests = {{"moms.l2.0", 10}, {"moms.l2.1", 12}};
+    const std::vector<std::string> v = boundViolations(run);
+    ASSERT_EQ(v.size(), 3u);
+    EXPECT_EQ(v[0], "pe1: 11 edges gathered in 10 cycles, above 1 per "
+                    "cycle");
+    EXPECT_EQ(v[1], "mem.ch1: 641 bytes moved in 10 cycles, above 64 "
+                    "per cycle");
+    EXPECT_EQ(v[2], "moms.l2.1: 12 requests accepted in 10 cycles, "
+                    "above 1 per cycle");
+
+    run.cycles = 12;
+    run.channel_bytes[1].value = 768;
+    EXPECT_TRUE(boundViolations(run).empty());
 }
 
 // ---------------------------------------------------------------------

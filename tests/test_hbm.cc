@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include "src/accel/accelerator.hh"
+#include "src/accel/session.hh"
+#include "src/graph/datasets.hh"
 #include "src/graph/generator.hh"
+#include "src/graph/reorder.hh"
 #include "src/mem/memory_system.hh"
 #include "src/sim/engine.hh"
 #include "src/sim/rng.hh"
@@ -256,6 +259,62 @@ TEST(HbmSystem, EngineModesBitExact)
     EXPECT_EQ(full.dram_bytes_written, idle.dram_bytes_written);
     EXPECT_EQ(full.moms_requests, idle.moms_requests);
     EXPECT_EQ(full.pe_raw_stalls, idle.pe_raw_stalls);
+}
+
+TEST(HbmSystem, PortQueueStorageFollowsTrafficNotCapacity)
+{
+    // WT packed PageRank on hbmTwoLevel(): 16 pseudo-channels x 32
+    // ports (16 PE DMA ports, then one port per shared bank). Each
+    // shared bank is bound to one channel, so 15 of its port's 16
+    // (request, response) pairs never carry a token: those 240 pairs
+    // must hold no ring storage, and all pairs together a small share
+    // of the modelled 256 + 64 slots per pair.
+    AccelConfig cfg = AccelConfig::hbmTwoLevel();
+    cfg.packed_edges = true;
+    const CooGraph raw = buildDataset(datasetByTag("WT"), 1);
+    const std::uint32_t nd =
+        defaultIntervalsFor(raw.numNodes(), raw.numEdges()).first;
+    Session s(std::make_shared<const CooGraph>(
+                  applyPreprocessing(raw, Preprocessing::Dbg, nd)),
+              cfg);
+    Accelerator accel(s.config(), s.partition(),
+                      AlgoSpec::pageRank(s.graph(), 2));
+    const MemorySystem& mem = accel.mem();
+    ASSERT_EQ(mem.numChannels(), 16u);
+    ASSERT_EQ(mem.channel(0).numPorts(), 32u);
+
+    std::uint64_t grown = 0, sized = 0;
+    std::uint32_t unused_pe_pairs = 0;
+    auto audit = [&] {
+        std::uint32_t unused = 0;
+        grown = sized = unused_pe_pairs = 0;
+        for (std::uint32_t c = 0; c < mem.numChannels(); ++c) {
+            const MemChannel& ch = mem.channel(c);
+            for (std::uint32_t p = 0; p < ch.numPorts(); ++p) {
+                const auto& req = ch.reqPort(p);
+                const auto& resp = ch.respPort(p);
+                grown += req.storageSlots() * req.slotBytes() +
+                         resp.storageSlots() * resp.slotBytes();
+                sized += req.capacity() * req.slotBytes() +
+                         resp.capacity() * resp.slotBytes();
+                if (req.storageSlots() == 0 && resp.storageSlots() == 0) {
+                    ++unused;
+                    unused_pe_pairs += p < s.config().num_pes;
+                }
+            }
+        }
+        return unused;
+    };
+    EXPECT_EQ(audit(), 512u);  // nothing before the run
+    EXPECT_EQ(grown, 0u);
+    EXPECT_EQ(sized, 512 * (256 * TimedQueue<MemReq>::slotBytes() +
+                            64 * TimedQueue<MemResp>::slotBytes()));
+
+    const RunResult r = accel.run();
+    EXPECT_EQ(r.iterations, 2u);
+    EXPECT_EQ(audit(), 240u);
+    EXPECT_EQ(unused_pe_pairs, 0u);
+    EXPECT_LE(grown * 50, sized) << grown << " of " << sized << " B";
 }
 
 TEST(HbmSystem, ValidateRules)

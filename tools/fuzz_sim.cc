@@ -4,7 +4,8 @@
  * (R-MAT / power-law / uniform / grid / star), a random kernel and a
  * random extreme-but-legal AccelConfig, then simulates it under BOTH
  * engine modes with the full hardening layer enabled (conservation
- * checkers, quiescence watchdog, shadow functional memory) and demands
+ * checkers and physical-bound audits, quiescence watchdog, shadow
+ * functional memory) and demands
  *
  *   - bit-exact cycle counts and raw values between the idle-aware and
  *     the legacy full-tick engine,
